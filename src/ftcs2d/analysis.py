@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .presentation import COMBINED, Presentation
+from .presentation import COMBINED, Presentation, walk
 from .oracle import BudgetExceeded
 
 PROFILE_BUDGET = 1 << 22  # row states: size ** (n - w + 1)
@@ -45,33 +45,19 @@ def _require_combined(g: Presentation) -> None:
 
 def _valid_rows(g: Presentation, length: int) -> list[tuple[int, ...]]:
     """All red-edge paths of the given cell count."""
-    rows: list[tuple[int, ...]] = []
-
-    def extend(path: tuple[int, ...]) -> None:
-        if len(path) == length:
-            rows.append(path)
-            return
-        for nxt in g.red_out(path[-1]):
-            extend(path + (nxt,))
-
-    for v in g.vertices:
-        extend((v,))
-    return rows
+    return list(walk(length, lambda path: g.red_out(path[-1]) if path else g.vertices))
 
 
 def _row_successors(g: Presentation, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    quads = g.quadruple_table
+    """Identifier rows q that can sit under row p: q[0] follows a blue edge from
+    p[0], and each later q[t] closes the quadruple (p[t-1], p[t], q[t-1], q[t])."""
+    completions = g.quadruple_table.completions
 
-    def extend(q: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def options(q: list[int]) -> tuple[int, ...]:
         t = len(q)
-        if t == len(p):
-            yield q
-            return
-        cand = g.blue_out(p[t]) if t == 0 else quads.completions(p[t - 1], p[t], q[t - 1])
-        for d in cand:
-            yield from extend(q + (d,))
+        return completions(p[t - 1], p[t], q[t - 1]) if t else g.blue_out(p[0])
 
-    yield from extend(())
+    return walk(len(p), options)
 
 
 def count_by_profile(g: Presentation, m: int, n: int, budget: int = PROFILE_BUDGET) -> int:
@@ -91,25 +77,6 @@ def count_by_profile(g: Presentation, m: int, n: int, budget: int = PROFILE_BUDG
                 new[q] += cnt
         counts = new
     return sum(counts.values())
-
-
-@dataclass
-class CountTable:
-    """Cache of member counts N(m, n) for one combined graph."""
-
-    graph: Presentation
-    entries: dict[tuple[int, int], int]
-
-    def __init__(self, graph: Presentation):
-        _require_combined(graph)
-        self.graph = graph
-        self.entries = {}
-
-    def count(self, m: int, n: int) -> int:
-        key = (m, n)
-        if key not in self.entries:
-            self.entries[key] = count_by_profile(self.graph, m, n)
-        return self.entries[key]
 
 
 def count_periodic(g: Presentation, m: int, n: int, budget: int = PERIODIC_BUDGET) -> list[int]:
@@ -210,7 +177,13 @@ def capacity_estimate(
         raise ValueError(
             f"need max_m >= {cs.h} and max_n >= {cs.w + 1}, got {max_m}x{max_n}"
         )
-    table = CountTable(g)
+    counts: dict[tuple[int, int], int] = {}
+
+    def count(m: int, n: int) -> int:
+        if (m, n) not in counts:
+            counts[m, n] = count_by_profile(g, m, n, profile_budget)
+        return counts[m, n]
+
     heights = tuple(range(cs.h, max_m + 1))
 
     def log2(x: int) -> float:
@@ -218,7 +191,7 @@ def capacity_estimate(
 
     # upper: free-strip growth per column, minimized over heights
     upper = min(
-        (log2(table.count(m, max_n)) - log2(table.count(m, max_n - 1))) / m
+        (log2(count(m, max_n)) - log2(count(m, max_n - 1))) / m
         for m in heights
     )
 
@@ -234,11 +207,11 @@ def capacity_estimate(
     # point: boundary-cancelling second difference of log2 N
     if max_m >= cs.h + 1:
         point = (
-            log2(table.count(max_m, max_n))
-            - log2(table.count(max_m - 1, max_n))
-            - log2(table.count(max_m, max_n - 1))
-            + log2(table.count(max_m - 1, max_n - 1))
+            log2(count(max_m, max_n))
+            - log2(count(max_m - 1, max_n))
+            - log2(count(max_m, max_n - 1))
+            + log2(count(max_m - 1, max_n - 1))
         )
     else:
-        point = (log2(table.count(max_m, max_n)) - log2(table.count(max_m, max_n - 1))) / max_m
+        point = (log2(count(max_m, max_n)) - log2(count(max_m, max_n - 1))) / max_m
     return CapacityEstimate(lower, point, upper, max_m, max_n, heights)

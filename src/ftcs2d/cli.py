@@ -1,6 +1,7 @@
 """Command-line driver.
 
-Exit codes: 0 success / member, 1 nonmember, 2 parse error, 3 unrealizable.
+Exit codes: 0 success / member, 1 nonmember, 2 parse error, 3 unrealizable,
+4 computation refused for exceeding its budget.
 """
 
 from __future__ import annotations
@@ -152,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except oracle.BudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ target size is genuinely unrealizable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from .blocks import Block, ConstraintSystem
-from .presentation import COMBINED, ROW, COLUMN, Presentation
+from .presentation import COMBINED, ROW, COLUMN, Presentation, path_strips, walk
 
 
 class DeadEnd(RuntimeError):
@@ -112,24 +112,19 @@ class IdentifierGrid:
         if not self.complete():
             raise ValueError("grid is not completely filled")
         cs = self.system
-        out: dict[tuple[int, int], int] = {}
+        out: list[list[int | None]] = [[None] * self.n for _ in range(self.m)]
         for (i, j), k in self.cells.items():
-            win = cs.block(k)
-            for di in range(cs.h):
-                for dj in range(cs.w):
-                    coord = (i - cs.h + 1 + di, j - cs.w + 1 + dj)
-                    val = win.rows[di][dj]
-                    old = out.setdefault(coord, val)
-                    if old != val:
+            for r, win_row in enumerate(cs.block(k).rows, i - cs.h):
+                row = out[r]
+                for c, val in enumerate(win_row, j - cs.w):
+                    old = row[c]
+                    if old is None:
+                        row[c] = val
+                    elif old != val:
                         raise AssertionError(
-                            f"overlap disagreement at {coord}: {old} vs {val}"
+                            f"overlap disagreement at {(r + 1, c + 1)}: {old} vs {val}"
                         )
-        return Block(
-            tuple(
-                tuple(out[(r, c)] for c in range(1, self.n + 1))
-                for r in range(1, self.m + 1)
-            )
-        )
+        return Block(tuple(map(tuple, out)))
 
 
 def case_of(i: int, j: int, h: int, w: int) -> int:
@@ -181,6 +176,41 @@ def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[i
     return g.quadruple_table.completions(diag, up, left)
 
 
+def _fillings(
+    g: Presentation,
+    grid: IdentifierGrid,
+    order: list[tuple[int, int]],
+    policy: GenerationPolicy,
+    stats: GenerationStats | None,
+) -> Iterator[tuple[int, ...]]:
+    """Every way of filling the ``order`` cells, depth first; the grid holds
+    each filling while it is yielded."""
+    rng = random.Random(policy.seed)
+
+    def options(path: list[int]) -> list[int]:
+        if path:
+            grid.set(*order[len(path) - 1], path[-1])
+            if stats:
+                stats.steps += 1
+        i, j = order[len(path)]
+        cand = list(candidates(g, grid, i, j))
+        if policy.chooser == "random":
+            rng.shuffle(cand)
+        if not cand:
+            if not policy.backtracking:
+                raise DeadEnd(f"no candidates at cell ({i},{j})")
+            if stats:
+                stats.backtracks += 1
+        return cand
+
+    for path in walk(len(order), options):
+        if path:
+            grid.set(*order[-1], path[-1])
+            if stats:
+                stats.steps += 1
+        yield path
+
+
 def fill_grid(
     g: Presentation,
     grid: IdentifierGrid,
@@ -196,37 +226,9 @@ def fill_grid(
         c for c in schedule_cells(policy.schedule, grid.m, grid.n, g.system.h, g.system.w)
         if not grid.filled(*c)
     ]
-    rng = random.Random(policy.seed)
-
-    def fill(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        i, j = order[idx]
-        cand = list(candidates(g, grid, i, j))
-        if policy.chooser == "random":
-            rng.shuffle(cand)
-        if not cand:
-            if not policy.backtracking:
-                raise DeadEnd(f"no candidates at cell ({i},{j})")
-            if stats:
-                stats.backtracks += 1
-            return False
-        if not policy.backtracking:
-            cand = cand[:1]
-        for k in cand:
-            grid.set(i, j, k)
-            if stats:
-                stats.steps += 1
-            if fill(idx + 1):
-                return True
-            grid.unset(i, j)
-        if not policy.backtracking:
-            raise DeadEnd(f"dead end below cell ({i},{j})")
-        if stats:
-            stats.backtracks += 1
-        return False
-
-    if not fill(0):
+    if next(_fillings(g, grid, order, policy, stats), None) is None:
+        for c in order:
+            grid.unset(*c)
         raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
 
 
@@ -255,45 +257,18 @@ def enumerate_blocks(
         raise ValueError("enumeration requires the combined graph")
     grid = IdentifierGrid(g.system, m, n)
     order = schedule_cells(schedule, m, n, g.system.h, g.system.w)
-
-    def walk(idx: int) -> Iterator[Block]:
-        if idx == len(order):
-            yield grid.to_block()
-            return
-        i, j = order[idx]
-        cand = candidates(g, grid, i, j)
-        if not cand and stats:
-            stats.backtracks += 1
-        for k in cand:
-            grid.set(i, j, k)
-            yield from walk(idx + 1)
-            grid.unset(i, j)
-
-    yield from walk(0)
+    for _ in _fillings(g, grid, order, GenerationPolicy(schedule, chooser="ordered"), stats):
+        yield grid.to_block()
 
 
 # -- strip generation (single presentation, one axis) -------------------------
 
 
-def _strip_search(
-    out_edges, label, head: int, steps: int, start: Block, concat, rng: random.Random | None
-) -> Block:
-    def extend(v: int, block: Block, remaining: int) -> Block | None:
-        if remaining == 0:
-            return block
-        succ = list(out_edges(v))
-        if rng is not None:
-            rng.shuffle(succ)
-        for nxt in succ:
-            got = extend(nxt, concat(block, label(v, nxt)), remaining - 1)
-            if got is not None:
-                return got
-        return None
-
-    got = extend(head, start, steps)
-    if got is None:
+def _first_strip(g: Presentation, axis: str, head: int, windows: int, rng: random.Random | None) -> Block:
+    strip = next(path_strips(g, axis, [head], windows, rng), None)
+    if strip is None:
         raise DeadEnd(f"no strip of required length from head {head}")
-    return got
+    return strip
 
 
 def generate_row_strip(
@@ -305,9 +280,7 @@ def generate_row_strip(
     cs = gr.system
     if m < cs.h:
         raise ValueError(f"strip height {m} below window height {cs.h}")
-    return _strip_search(
-        gr.blue_out, gr.blue_label, head, m - cs.h, cs.block(head), Block.concat_row, rng
-    )
+    return _first_strip(gr, ROW, head, m - cs.h + 1, rng)
 
 
 def generate_col_strip(
@@ -319,41 +292,25 @@ def generate_col_strip(
     cs = gc.system
     if n < cs.w:
         raise ValueError(f"strip width {n} below window width {cs.w}")
-    return _strip_search(
-        gc.red_out, gc.red_label, head, n - cs.w, cs.block(head), Block.concat_col, rng
-    )
+    return _first_strip(gc, COLUMN, head, n - cs.w + 1, rng)
 
 
 def enumerate_row_strips(gr: Presentation, m: int, head: int | None = None) -> Iterator[Block]:
     """All m x w blocks generated by blue paths (optionally from one head)."""
     cs = gr.system
-    heads = [head] if head is not None else list(gr.vertices)
-
-    def extend(v: int, block: Block, remaining: int) -> Iterator[Block]:
-        if remaining == 0:
-            yield block
-            return
-        for nxt in gr.blue_out(v):
-            yield from extend(nxt, block.concat_row(gr.blue_label(v, nxt)), remaining - 1)
-
-    for u in heads:
-        yield from extend(u, cs.block(u), m - cs.h)
+    if m < cs.h:
+        raise ValueError(f"strip height {m} below window height {cs.h}")
+    heads = [head] if head is not None else gr.vertices
+    yield from path_strips(gr, ROW, heads, m - cs.h + 1)
 
 
 def enumerate_col_strips(gc: Presentation, n: int, head: int | None = None) -> Iterator[Block]:
     """All h x n blocks generated by red paths (optionally from one head)."""
     cs = gc.system
-    heads = [head] if head is not None else list(gc.vertices)
-
-    def extend(v: int, block: Block, remaining: int) -> Iterator[Block]:
-        if remaining == 0:
-            yield block
-            return
-        for nxt in gc.red_out(v):
-            yield from extend(nxt, block.concat_col(gc.red_label(v, nxt)), remaining - 1)
-
-    for u in heads:
-        yield from extend(u, cs.block(u), n - cs.w)
+    if n < cs.w:
+        raise ValueError(f"strip width {n} below window width {cs.w}")
+    heads = [head] if head is not None else gc.vertices
+    yield from path_strips(gc, COLUMN, heads, n - cs.w + 1)
 
 
 def is_generated(g: Presentation, b: Block) -> bool:

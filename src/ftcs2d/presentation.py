@@ -12,10 +12,12 @@ The combined graph carries both edge sets over the shared vertex set.
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
 
@@ -175,18 +177,10 @@ class ClassView:
 
     def strips(self, n: int) -> Iterator[Block]:
         """All h x n blocks generated by red paths starting at the head."""
-        g, cs = self.presentation, self.presentation.system
+        cs = self.presentation.system
         if n < cs.w:
             raise ValueError(f"strip width {n} below window width {cs.w}")
-
-        def extend(v: int, block: Block, remaining: int) -> Iterator[Block]:
-            if remaining == 0:
-                yield block
-                return
-            for nxt in g.red_out(v):
-                yield from extend(nxt, block.concat_col(g.red_label(v, nxt)), remaining - 1)
-
-        yield from extend(self.head, cs.block(self.head), n - cs.w)
+        yield from path_strips(self.presentation, COLUMN, [self.head], n - cs.w + 1)
 
 
 def class_view(gc: Presentation, k: int) -> ClassView:
@@ -202,3 +196,61 @@ def class_connections(g: Presentation) -> frozenset[tuple[int, int]]:
     if g.kind != COMBINED:
         raise ValueError("class connections require the combined graph")
     return frozenset((u, v) for u, vs in g.blue.items() for v in vs)
+
+
+def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator[tuple[int, ...]]:
+    """Every identifier sequence s of the given length with s[t] in options(s[:t]).
+
+    Depth first, in the order ``options`` returns its candidates; it is called
+    once per prefix shorter than ``length``, with the live prefix list, which
+    it may read but not keep.  An explicit stack of candidate iterators takes
+    the place of recursion, so no length reaches the recursion limit.
+    """
+    if length == 0:
+        yield ()
+        return
+    path: list[int] = []
+    stack = [iter(options(path))]
+    while stack:
+        k = next(stack[-1], None)
+        if k is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif len(path) + 1 == length:
+            yield (*path, k)
+        else:
+            path.append(k)
+            stack.append(iter(options(path)))
+
+
+def path_strips(
+    g: Presentation, axis: str, heads: Sequence[int], windows: int, rng: random.Random | None = None
+) -> Iterator[Block]:
+    """Blocks spelled by the paths of ``windows`` vertices starting at a head.
+
+    ``axis`` ROW follows blue edges and stacks rows (an m x w strip); COLUMN
+    follows red edges and appends columns (an h x n strip).  With ``rng`` the
+    successors of each vertex are shuffled before they are tried.
+    """
+    allowed = g.system.allowed
+    for u in heads:
+        g.system.block(u)  # range check
+    out = g.blue_out if axis == ROW else g.red_out
+
+    def options(path: list[int]) -> Sequence[int]:
+        if not path:
+            return heads
+        if rng is None:
+            return out(path[-1])
+        succ = list(out(path[-1]))
+        rng.shuffle(succ)
+        return succ
+
+    last = itemgetter(-1)
+    for path in walk(windows, options):
+        wins = [allowed[v - 1].rows for v in path]
+        if axis == ROW:  # the head's rows, then the last row of each later window
+            yield Block(wins[0] + tuple(map(last, wins[1:])))
+        else:  # row by row: the head's row, then that row's last cell in each later window
+            yield Block(tuple(r[0] + tuple(map(last, r[1:])) for r in zip(*wins)))

@@ -7,7 +7,6 @@ from ftcs2d import (
     Block,
     BudgetExceeded,
     ConstraintSystem,
-    CountTable,
     all_blocks,
     build,
     capacity_estimate,
@@ -48,16 +47,11 @@ class TestProfileCounting:
 
     def test_guarded_submultiplicativity(self, hs_graph):
         # N(m, n1 + n2) <= N(m, n1) * N(m, n2) for n1, n2 >= w
-        table = CountTable(hs_graph)
         for m in (2, 3, 4):
             for n1 in (2, 3):
                 for n2 in (2, 3, 4):
-                    assert table.count(m, n1 + n2) <= table.count(m, n1) * table.count(m, n2)
-
-    def test_count_table_caches(self, hs_graph):
-        table = CountTable(hs_graph)
-        assert table.count(3, 3) == 63
-        assert (3, 3) in table.entries
+                    n = count_by_profile(hs_graph, m, n1 + n2)
+                    assert n <= count_by_profile(hs_graph, m, n1) * count_by_profile(hs_graph, m, n2)
 
 
 def brute_periodic(cs, m, n):
@@ -117,6 +111,10 @@ class TestCapacity:
             capacity_estimate(hs_graph, 1, 4)
         with pytest.raises(ValueError):
             capacity_estimate(hs_graph, 4, 2)
+
+    def test_profile_budget_honoured(self, hs_graph):
+        with pytest.raises(BudgetExceeded):
+            capacity_estimate(hs_graph, 4, 4, profile_budget=1)
 
     def test_strip_heights_reported(self, hs_graph):
         est = capacity_estimate(hs_graph, 4, 4)

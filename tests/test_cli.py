@@ -121,6 +121,11 @@ class TestGenerate:
         assert main(["generate", str(p), "--rows", "2", "--cols", "2"]) == 3
         assert capsys.readouterr().out == "UNREALIZABLE\n"
 
+    def test_large_block(self, hs_file, capsys):
+        assert main(["generate", hs_file, "--rows", "200", "--cols", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 200 and all(len(l) == 200 for l in lines)
+
 
 class TestCount:
     def test_3x5(self, hs_file, capsys):
@@ -130,6 +135,11 @@ class TestCount:
     def test_oracle_cross_check(self, hs_file, capsys):
         assert main(["count", hs_file, "--rows", "3", "--cols", "5", "--oracle"]) == 0
         assert capsys.readouterr().out == "827\n"
+
+    def test_budget_exceeded_exit_code(self, hs_file, capsys):
+        assert main(["count", hs_file, "--rows", "9", "--cols", "9"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestCapacity:

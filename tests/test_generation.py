@@ -156,6 +156,12 @@ class TestStripGeneration:
         gr = row_presentation(cs)
         assert generate_row_strip(gr, 1, 4).height == 4  # blue cycle still works
 
+    def test_long_strip(self, hard_square):
+        gc = column_presentation(hard_square)
+        s = generate_col_strip(gc, all_zero_id(hard_square), 3000, random.Random(1))
+        assert (s.height, s.width) == (2, 3000)
+        assert hard_square.is_member(s)
+
 
 class TestGenerateBlock:
     def test_soundness_random_seeds(self, hard_square, hs_graph):
@@ -214,6 +220,11 @@ class TestGenerateBlock:
         assert stats.backtracks >= 1
         with pytest.raises(DeadEnd):
             generate_block(g, 2, 4, GenerationPolicy(chooser="ordered", backtracking=False))
+
+    def test_large_block(self, hard_square, hs_graph):
+        b = generate_block(hs_graph, 200, 200)
+        assert (b.height, b.width) == (200, 200)
+        assert hard_square.is_member(b)
 
     def test_grow_mid_process(self, hard_square, hs_graph):
         grid = IdentifierGrid(hard_square, 3, 3)
