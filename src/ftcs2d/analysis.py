@@ -1,13 +1,28 @@
 """Graph-guided counting and capacity estimation.
 
-``count_by_profile`` counts complete identifier grids by dynamic programming
-over grid rows: a state is one full row of identifiers whose horizontal
-neighbours are red edges, and a transition places a compatible next row
-(cellwise blue edges closing quadruples).  Since grids biject with member
-blocks, the result equals the member count N(m, n), and any disagreement with
-the oracle points at an edge bug.
+Every count runs over one sparse transfer operator.  Its states are the
+identifier sequences of one length that follow one edge colour; the
+successors of a state are the sequences that follow the same colour and are
+joined to it cell by cell by the other colour, so that each 2x2 of
+identifiers closes a quadruple.  The operator is enumerated once with
+``presentation.walk``, stored as successor index lists, and one sweep in exact
+Python integers gives the totals of every step at once:
 
-Capacity (the limit of log2 N(m, n) / (m n)) is bracketed from strip counts:
+* rows: red paths of n - w + 1 identifiers, linked by blue edges; step k
+  totals N(h + k, n).  Since grids biject with member blocks,
+  ``count_by_profile`` equals the member count, and any disagreement with the
+  oracle points at an edge bug.
+* wrapped columns: blue paths of m identifiers closed into a cycle (for
+  m = 1, a blue self-loop), linked by red edges; step k totals the height-m
+  strips of width w + k with vertical wraparound (``count_periodic``).
+
+A budget caps the operator actually built: the identifiers stored in its
+states plus its successor entries.  It is checked while the operator is
+enumerated, and ``BudgetExceeded`` names the operator and the limit.
+
+Capacity (the limit of log2 N(m, n) / (m n)) is bracketed from strip counts,
+taken from one row operator per width (max_n and max_n - 1) and one wrapped
+operator per height:
 
 * point estimate: the second difference of log2 N at the largest computed
   sizes, which cancels the linear boundary terms of log2 N ~ c*mn + a*m + b*n + d;
@@ -23,19 +38,16 @@ ordering only.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .presentation import COMBINED, Presentation, walk
 from .oracle import BudgetExceeded
 
-PROFILE_BUDGET = 1 << 22  # row states: size ** (n - w + 1)
-PERIODIC_BUDGET = 1 << 24  # tensor entries: size ** m
-
-_EXACT_LIMIT = 1 << 53  # float64 integer exactness
+PROFILE_BUDGET = 1 << 22  # row operator: stored identifiers + successor entries
+PERIODIC_BUDGET = 1 << 24  # wrapped column operator: the same
 
 
 def _require_combined(g: Presentation) -> None:
@@ -43,40 +55,87 @@ def _require_combined(g: Presentation) -> None:
         raise ValueError("counting requires the combined graph")
 
 
-def _valid_rows(g: Presentation, length: int) -> list[tuple[int, ...]]:
-    """All red-edge paths of the given cell count."""
-    return list(walk(length, lambda path: g.red_out(path[-1]) if path else g.vertices))
-
-
-def _row_successors(g: Presentation, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Identifier rows q that can sit under row p: q[0] follows a blue edge from
-    p[0], and each later q[t] closes the quadruple (p[t-1], p[t], q[t-1], q[t])."""
-    completions = g.quadruple_table.completions
-
-    def options(q: list[int]) -> tuple[int, ...]:
-        t = len(q)
-        return completions(p[t - 1], p[t], q[t - 1]) if t else g.blue_out(p[0])
-
-    return walk(len(p), options)
-
-
-def count_by_profile(g: Presentation, m: int, n: int, budget: int = PROFILE_BUDGET) -> int:
-    """N(m, n) by dynamic programming over rows of the identifier grid."""
+def _check_size(g: Presentation, m: int, n: int) -> None:
     _require_combined(g)
     cs = g.system
     if m < cs.h or n < cs.w:
         raise ValueError(f"size {m}x{n} below window size {cs.h}x{cs.w}")
-    width = n - cs.w + 1
-    if cs.size**width > budget:
-        raise BudgetExceeded(f"{cs.size}^{width} row states exceed budget {budget}")
-    counts: dict[tuple[int, ...], int] = {p: 1 for p in _valid_rows(g, width)}
-    for _ in range(m - cs.h):
-        new: dict[tuple[int, ...], int] = defaultdict(int)
-        for p, cnt in counts.items():
-            for q in _row_successors(g, p):
-                new[q] += cnt
-        counts = new
-    return sum(counts.values())
+
+
+def _operator(g: Presentation, length: int, wrapped: bool):
+    """The states of the row operator (or the wrapped column one), and a state's successors.
+
+    Rows: states are red paths, and a successor t sits under s, with t[0]
+    blue from s[0] and t[i] closing (s[i-1], s[i], t[i-1], t[i]).  Wrapped
+    columns: states are closed blue cycles, and t sits right of s, with t[0]
+    red from s[0] and t[i] closing (s[i-1], t[i-1], s[i], t[i]).
+    """
+    completions = g.quadruple_table.completions
+    if not wrapped:
+
+        def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            def options(t: list[int]) -> Iterable[int]:
+                i = len(t)
+                return completions(s[i - 1], s[i], t[i - 1]) if i else g.blue_out(s[0])
+
+            return walk(length, options)
+
+        return walk(length, lambda s: g.red_out(s[-1]) if s else g.vertices), successors
+
+    blue_in: dict[int, set[int]] = defaultdict(set)
+    for u in g.vertices:
+        for v in g.blue_out(u):
+            blue_in[v].add(u)
+
+    def closed(after: Iterable[int], t: list[int]) -> Iterable[int]:
+        # the last cell of a column has a blue edge back to its first (or to itself)
+        return [d for d in after if d in blue_in[t[0] if t else d]] if len(t) == length - 1 else after
+
+    def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        def options(t: list[int]) -> Iterable[int]:
+            i = len(t)
+            return closed(completions(s[i - 1], t[i - 1], s[i]) if i else g.red_out(s[0]), t)
+
+        return walk(length, options)
+
+    return walk(length, lambda s: closed(g.blue_out(s[-1]) if s else g.vertices, s)), successors
+
+
+def _totals(g: Presentation, length: int, wrapped: bool, steps: int, budget: int) -> list[int]:
+    """Totals of the chains of 1 .. steps + 1 states of one transfer operator."""
+    layer = f"wrapped column operator of height {length}" if wrapped else f"row operator of width {length}"
+    used = 0
+
+    def charge(k: int) -> None:
+        nonlocal used
+        used += k
+        if used > budget:
+            raise BudgetExceeded(f"{layer}: {used} stored identifiers and successor entries exceed budget {budget}")
+
+    states, successors = _operator(g, length, wrapped)
+    index: dict[tuple[int, ...], int] = {}
+    for s in states:
+        charge(length)
+        index[s] = len(index)
+    if not steps:
+        return [len(index)]
+    succ = []  # successor index lists, one machine word per entry
+    for s in index:
+        succ.append(array("L", map(index.__getitem__, successors(s))))
+        charge(len(succ[-1]))
+    v = [1] * len(succ)  # v[k]: chains of the current length starting at state k
+    totals = [len(v)]
+    for _ in range(steps):
+        v = [sum(map(v.__getitem__, row)) for row in succ]
+        totals.append(sum(v))
+    return totals
+
+
+def count_by_profile(g: Presentation, m: int, n: int, budget: int = PROFILE_BUDGET) -> int:
+    """N(m, n) by a sweep over rows of the identifier grid."""
+    _check_size(g, m, n)
+    cs = g.system
+    return _totals(g, n - cs.w + 1, False, m - cs.h, budget)[-1]
 
 
 def count_periodic(g: Presentation, m: int, n: int, budget: int = PERIODIC_BUDGET) -> list[int]:
@@ -84,61 +143,11 @@ def count_periodic(g: Presentation, m: int, n: int, budget: int = PERIODIC_BUDGE
 
     A wrapped strip corresponds to an extended strip of height m + h - 1 whose
     last h - 1 rows repeat its first h - 1 rows; on the identifier grid that
-    adds a blue edge from each bottom-row cell back to its top-row cell.  The
-    count is computed as a masked tensor DP over columns of m identifiers.
+    adds a blue edge from each bottom-row cell back to its top-row cell, so
+    its columns are closed blue cycles of m identifiers.
     """
-    _require_combined(g)
-    cs = g.system
-    if m < cs.h or n < cs.w:
-        raise ValueError(f"size {m}x{n} below window size {cs.h}x{cs.w}")
-    size = cs.size
-    if size == 0:
-        return [0] * (n - cs.w + 1)
-    if size**m > budget:
-        raise BudgetExceeded(f"{size}^{m} tensor entries exceed budget {budget}")
-
-    blue = np.zeros((size, size), dtype=bool)
-    red = np.zeros((size, size), dtype=np.float64)
-    for u in g.vertices:
-        for v in g.blue_out(u):
-            blue[u - 1, v - 1] = True
-        for v in g.red_out(u):
-            red[u - 1, v - 1] = 1.0
-
-    # mask over identifier columns: blue chain down the column, closed at the seam
-    shape = (size,) * m
-    if m == 1:
-        mask = np.diagonal(blue).copy()  # wrap onto itself: blue self-loop
-        return _periodic_sweep(mask, red, n - cs.w)
-    mask = np.ones(shape, dtype=bool)
-    for axis in range(m):
-        nxt = (axis + 1) % m
-        sh = [1] * m
-        sh[axis] = size
-        sh[nxt] = size
-        if nxt > axis:
-            mask &= blue.reshape(sh)
-        else:  # seam: axes (m-1, 0), transpose so axis order matches
-            mask &= blue.T.reshape(sh)
-
-    return _periodic_sweep(mask, red, n - cs.w)
-
-
-def _periodic_sweep(mask: np.ndarray, red: np.ndarray, steps: int) -> list[int]:
-    v = mask.astype(np.float64)
-    counts = [v.sum()]
-    for _ in range(steps):
-        for _axis in range(mask.ndim):
-            # contract the leading axis with red; ndim passes cycle all axes
-            v = np.tensordot(v, red, axes=([0], [0]))
-        v = np.where(mask, v, 0.0)
-        counts.append(v.sum())
-    out = []
-    for c in counts:
-        if c >= _EXACT_LIMIT:
-            raise BudgetExceeded("periodic count exceeds float64 exact range")
-        out.append(int(round(c)))
-    return out
+    _check_size(g, m, n)
+    return _totals(g, m, True, n - g.system.w, budget)
 
 
 @dataclass(frozen=True)
@@ -177,41 +186,28 @@ def capacity_estimate(
         raise ValueError(
             f"need max_m >= {cs.h} and max_n >= {cs.w + 1}, got {max_m}x{max_n}"
         )
-    counts: dict[tuple[int, int], int] = {}
-
-    def count(m: int, n: int) -> int:
-        if (m, n) not in counts:
-            counts[m, n] = count_by_profile(g, m, n, profile_budget)
-        return counts[m, n]
-
     heights = tuple(range(cs.h, max_m + 1))
+    # wide[k], narrow[k]: N(h + k, max_n), N(h + k, max_n - 1), each from one row operator
+    wide, narrow = (
+        _totals(g, n - cs.w + 1, False, max_m - cs.h, profile_budget) for n in (max_n, max_n - 1)
+    )
 
     def log2(x: int) -> float:
         return math.log2(x) if x > 0 else neg_inf
 
     # upper: free-strip growth per column, minimized over heights
-    upper = min(
-        (log2(count(m, max_n)) - log2(count(m, max_n - 1))) / m
-        for m in heights
-    )
+    upper = min((log2(wide[k]) - log2(narrow[k])) / m for k, m in enumerate(heights))
 
     # lower: wrapped-strip growth per column, minimized over heights
-    lower = neg_inf
     rates = []
     for m in heights:
         per = count_periodic(g, m, max_n, periodic_budget)
         rates.append((log2(per[-1]) - log2(per[-2])) / m)
-    if rates:
-        lower = min(rates)
+    lower = min(rates)
 
     # point: boundary-cancelling second difference of log2 N
     if max_m >= cs.h + 1:
-        point = (
-            log2(count(max_m, max_n))
-            - log2(count(max_m - 1, max_n))
-            - log2(count(max_m, max_n - 1))
-            + log2(count(max_m - 1, max_n - 1))
-        )
+        point = log2(wide[-1]) - log2(wide[-2]) - log2(narrow[-1]) + log2(narrow[-2])
     else:
-        point = (log2(count(max_m, max_n)) - log2(count(max_m, max_n - 1))) / max_m
+        point = (log2(wide[-1]) - log2(narrow[-1])) / max_m
     return CapacityEstimate(lower, point, upper, max_m, max_n, heights)

@@ -23,8 +23,8 @@ class Block:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        widths = {len(r) for r in rows}
+        rows = tuple(map(tuple, self.rows))
+        widths = set(map(len, rows))
         if len(widths) > 1:
             raise ValueError(f"ragged rows: widths {sorted(widths)}")
         if not rows or widths == {0}:

@@ -1,6 +1,7 @@
 """Command-line driver.
 
-Exit codes: 0 success / member, 1 nonmember, 2 parse error, 3 unrealizable,
+Exit codes: 0 success / member, 1 nonmember, 2 parse error, unreadable file
+or invalid request (such as a size below the window), 3 unrealizable,
 4 computation refused for exceeding its budget.
 """
 
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, dotexport, generation, oracle, presentation
-from .fileformat import ParseError, format_block, parse_block, parse_system
+from .fileformat import format_block, parse_block, parse_system
 
 
 def _load_system(path: str):
@@ -150,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as e:
+    except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except oracle.BudgetExceeded as e:

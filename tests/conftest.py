@@ -33,6 +33,17 @@ def free_graph(free_system):
     return build(free_system)
 
 
+def brute_periodic(cs: ConstraintSystem, m: int, n: int) -> int:
+    """Vertically wrapped m x n strips, by direct check of every block extended
+    by its first h - 1 rows."""
+    total = 0
+    for b in all_blocks(cs.alphabet.size, m, n):
+        ext = b.concat_row(b.subblock(1, 1, cs.h - 1, n)) if cs.h > 1 else b
+        if cs.is_member(ext):
+            total += 1
+    return total
+
+
 def random_three_symbol_system(seed=2024, n_forbidden=20) -> ConstraintSystem:
     rng = random.Random(seed)
     alph = Alphabet("abc")

@@ -1,6 +1,8 @@
 import math
+from itertools import product
 
 import pytest
+from conftest import brute_periodic
 
 from ftcs2d import (
     Alphabet,
@@ -42,8 +44,19 @@ class TestProfileCounting:
             count_by_profile(row_presentation(hard_square), 3, 3)
 
     def test_state_budget(self, hs_graph):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^row operator of width 39: .* exceed budget 100$"):
             count_by_profile(hs_graph, 3, 40, budget=100)
+
+    def test_budget_counts_operator_built(self, hs_graph):
+        # 17 rows of 2 identifiers (34 stored) and 63 successor entries, one per 3x3 member
+        assert count_by_profile(hs_graph, 3, 3, budget=97) == 63
+        with pytest.raises(BudgetExceeded, match="97 stored identifiers and successor entries exceed budget 96"):
+            count_by_profile(hs_graph, 3, 3, budget=96)
+
+    def test_large_squares_default_budget(self, hs_graph):
+        # OEIS A006506; both exceeded the old size ** width state budget
+        assert count_by_profile(hs_graph, 9, 9) == 770548397261707
+        assert count_by_profile(hs_graph, 10, 10) == 2030049051145980050
 
     def test_guarded_submultiplicativity(self, hs_graph):
         # N(m, n1 + n2) <= N(m, n1) * N(m, n2) for n1, n2 >= w
@@ -52,16 +65,6 @@ class TestProfileCounting:
                 for n2 in (2, 3, 4):
                     n = count_by_profile(hs_graph, m, n1 + n2)
                     assert n <= count_by_profile(hs_graph, m, n1) * count_by_profile(hs_graph, m, n2)
-
-
-def brute_periodic(cs, m, n):
-    """Vertically wrapped strips by direct check on extended blocks."""
-    total = 0
-    for b in all_blocks(cs.alphabet.size, m, n):
-        ext = b.concat_row(b.subblock(1, 1, cs.h - 1, n)) if cs.h > 1 else b
-        if cs.is_member(ext):
-            total += 1
-    return total
 
 
 class TestPeriodicCounting:
@@ -77,8 +80,28 @@ class TestPeriodicCounting:
         assert series == [brute_periodic(hard_square, 3, n) for n in range(2, 6)]
 
     def test_budget(self, hs_graph):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^wrapped column operator of height 8: "):
             count_periodic(hs_graph, 8, 3, budget=100)
+
+    def test_exact_past_float64(self, three_symbol, three_symbol_graph):
+        # wrapped transfer over symbol columns of height 3: neighbouring columns
+        # c, d fit when every 2x2 window on them is allowed, rows i - 1 and i
+        # taken cyclically (i = 0 is the window across the seam)
+        m, n = 3, 20
+        forbidden = {f.rows for f in three_symbol.forbidden}
+        columns = list(product(range(3), repeat=m))
+        fits = {
+            c: [d for d in columns if all(((c[i - 1], d[i - 1]), (c[i], d[i])) not in forbidden for i in range(m))]
+            for c in columns
+        }
+        ahead = {c: 1 for c in columns}  # ahead[c]: wrapped strips of the current width starting at c
+        want = []
+        for _ in range(2, n + 1):
+            ahead = {c: sum(ahead[d] for d in fits[c]) for c in columns}
+            want.append(sum(ahead.values()))
+        got = count_periodic(three_symbol_graph, m, n)
+        assert got == want
+        assert all(type(x) is int for x in got) and got[-1] > 2**53
 
     def test_height_one(self):
         alph = Alphabet("01")
@@ -115,6 +138,11 @@ class TestCapacity:
     def test_profile_budget_honoured(self, hs_graph):
         with pytest.raises(BudgetExceeded):
             capacity_estimate(hs_graph, 4, 4, profile_budget=1)
+
+    def test_hard_square_10x10_brackets_known_capacity(self, hs_graph):
+        # Baxter, J. Phys. A 32 (1999); 10x10 exceeded the old row-state budget
+        est = capacity_estimate(hs_graph, 10, 10)
+        assert est.lower <= 0.5878911617753406 <= est.upper
 
     def test_strip_heights_reported(self, hs_graph):
         est = capacity_estimate(hs_graph, 4, 4)

@@ -121,6 +121,11 @@ class TestGenerate:
         assert main(["generate", str(p), "--rows", "2", "--cols", "2"]) == 3
         assert capsys.readouterr().out == "UNREALIZABLE\n"
 
+    def test_below_window_size(self, hs_file, capsys):
+        assert main(["generate", hs_file, "--rows", "1", "--cols", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: target 1x1 below window size 2x2\n"
+
     def test_large_block(self, hs_file, capsys):
         assert main(["generate", hs_file, "--rows", "200", "--cols", "200"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -137,9 +142,19 @@ class TestCount:
         assert capsys.readouterr().out == "827\n"
 
     def test_budget_exceeded_exit_code(self, hs_file, capsys):
-        assert main(["count", hs_file, "--rows", "9", "--cols", "9"]) == 4
+        # rows of 39 identifiers: far more row states than the default budget
+        assert main(["count", hs_file, "--rows", "3", "--cols", "40"]) == 4
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith("error: row operator")
+
+    def test_9x9_within_budget(self, hs_file, capsys):
+        assert main(["count", hs_file, "--rows", "9", "--cols", "9"]) == 0
+        assert capsys.readouterr().out == "770548397261707\n"  # OEIS A006506
+
+    def test_below_window_size(self, hs_file, capsys):
+        assert main(["count", hs_file, "--rows", "1", "--cols", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: size 1x1 below window size 2x2\n"
 
 
 class TestCapacity:

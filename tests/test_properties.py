@@ -1,7 +1,8 @@
-"""Graph-derived strips, enumerations and generated blocks against the oracle,
-on random small systems including the degenerate ones."""
+"""Graph-derived strips, enumerations, counts and generated blocks against the
+oracle, on random small systems including the degenerate ones."""
 
 import pytest
+from conftest import brute_periodic
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from ftcs2d import (
     build,
     class_view,
     column_presentation,
+    count_by_profile,
     count_members,
+    count_periodic,
     enumerate_blocks,
     enumerate_members,
     generate_block,
@@ -106,3 +109,16 @@ def test_generate_block_member_or_not_realizable(cs, m_extra, n_extra, seed, sch
         b = generate_block(g, m, n, policy)
         assert (b.height, b.width) == (m, n)
         assert cs.is_member(b)
+
+
+@walker_settings
+@given(cs=systems(), m_extra=extras, n_extra=extras)
+@example(cs=FREE, m_extra=1, n_extra=1)
+@example(cs=EMPTY, m_extra=1, n_extra=1)
+@example(cs=ROW_WINDOW, m_extra=0, n_extra=2)
+@example(cs=COL_WINDOW, m_extra=2, n_extra=1)
+def test_counts_match_oracle(cs, m_extra, n_extra):
+    m, n = sizes(cs, m_extra, n_extra)
+    g = build(cs)
+    assert count_by_profile(g, m, n) == count_members(cs, m, n)
+    assert count_periodic(g, m, n) == [brute_periodic(cs, m, k) for k in range(cs.w, n + 1)]
