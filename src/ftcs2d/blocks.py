@@ -7,13 +7,24 @@ zero width) all collapse to the single empty block ``EMPTY``.
 A :class:`ConstraintSystem` fixes a window size ``(h, w)`` and a forbidden set
 of ``h x w`` blocks; a block is a member of the system when none of its
 ``h x w`` windows is forbidden.
+
+A window's *code* is its cells, read row-major, as base-q digits (q the
+alphabet size).  It equals the window's rank in ``all_blocks(q, h, w)``, so the
+allowed codes in ascending order give the identifiers 1..size.  Window scans
+work on codes by arithmetic; a window space above ``WINDOW_BUDGET`` is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import chain, product
+from typing import Iterable, Iterator, Sequence
+
+WINDOW_BUDGET = 1 << 20  # codes in the window space of a system or an embedding
+
+
+class BudgetExceeded(RuntimeError):
+    """Work refused up front for exceeding its budget."""
 
 
 @dataclass(frozen=True)
@@ -126,18 +137,6 @@ class Block:
         """Column ``j`` as an m x 1 block."""
         return self.subblock(1, j, self.height, 1)
 
-    def windows(self, h: int, w: int) -> Iterator[tuple[tuple[int, int], "Block"]]:
-        """All h x w subblocks with their 1-based top-left corners, row-major."""
-        for i in range(1, self.height - h + 2):
-            for j in range(1, self.width - w + 2):
-                yield (i, j), self.subblock(i, j, h, w)
-
-    def contains(self, other: "Block") -> bool:
-        """True when ``other`` appears as a subblock (the empty block always does)."""
-        if other.is_empty():
-            return True
-        return any(sub == other for _, sub in self.windows(other.height, other.width))
-
     def transpose(self) -> "Block":
         return Block(tuple(zip(*self.rows))) if self.rows else EMPTY
 
@@ -182,38 +181,78 @@ def all_blocks(alphabet_size: int, m: int, n: int) -> Iterator[Block]:
         yield Block(tuple(cells[r * n : (r + 1) * n] for r in range(m)))
 
 
+def _window_space(q: int, h: int, w: int) -> int:
+    """The number of h x w windows, q^(h*w); BudgetExceeded above WINDOW_BUDGET."""
+    if q > 1 and h * w >= WINDOW_BUDGET.bit_length() or q ** (h * w) > WINDOW_BUDGET:
+        raise BudgetExceeded(f"window space of {q}^{h * w} {h}x{w} windows exceeds budget {WINDOW_BUDGET}")
+    return q ** (h * w)
+
+
+def _in_alphabet(rows: tuple[tuple[int, ...], ...], q: int) -> bool:
+    return not rows or (min(map(min, rows)) >= 0 and max(map(max, rows)) < q)
+
+
+def _window_rows(rows: Sequence[Sequence[int]], q: int, h: int, w: int) -> Iterator[Sequence[int]]:
+    """For each top row, the codes of the h x w windows along it, left to right."""
+    qw = q**w
+    top = qw ** (h - 1)  # weight of a window's top row
+    for i, r in enumerate(rows):
+        line = r[: len(r) - w + 1]
+        for k in range(1, w):
+            line = [a * q + b for a, b in zip(line, r[k:])]
+        if i == 0 or h == 1:
+            codes = line
+        elif i < h:
+            codes = [a * qw + b for a, b in zip(codes, line)]
+        else:
+            codes = [a % top * qw + b for a, b in zip(codes, line)]
+        if i >= h - 1:
+            yield codes
+
+
+def _decode(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:
+    """The h x w blocks with the given codes, in the order given."""
+    qw = q**w
+    lines = list(product(range(q), repeat=w))  # block rows, indexed by their codes
+    weights = [qw**k for k in reversed(range(h))]
+    return [Block(tuple(lines[c // p % qw] for p in weights)) for c in codes]
+
+
 class ConstraintSystem:
     """Window size (h, w), forbidden set F, and the derived allowed set.
 
     Allowed blocks are numbered 1..size in canonical order; this numbering is
     the identifier bijection used as the vertex set of every presentation.
+    ``forbidden_codes`` holds the codes of F and ``code_to_id`` maps the code
+    of each allowed window to its identifier.
     """
 
     def __init__(self, alphabet: Alphabet, h: int, w: int, forbidden: Iterable[Block]):
         if h < 1 or w < 1:
             raise ValueError(f"window size must be positive, got {h}x{w}")
-        forbidden = frozenset(forbidden)
-        for f in forbidden:
+        windows = _window_space(alphabet.size, h, w)
+        self.alphabet, self.h, self.w = alphabet, h, w
+        self.forbidden = frozenset(forbidden)
+        for f in self.forbidden:
             if (f.height, f.width) != (h, w):
-                raise ValueError(
-                    f"forbidden block is {f.height}x{f.width}, expected {h}x{w}"
-                )
-            self._check_symbols(alphabet, f)
-        self.alphabet = alphabet
-        self.h = h
-        self.w = w
-        self.forbidden = forbidden
-        self.allowed = tuple(
-            b for b in all_blocks(alphabet.size, h, w) if b not in forbidden
-        )
-        self._ident = {b: k for k, b in enumerate(self.allowed, start=1)}
+                raise ValueError(f"forbidden block is {f.height}x{f.width}, expected {h}x{w}")
+        # side by side, the forbidden blocks form one h x (w |F|) block whose
+        # windows at every w-th column are the forbidden blocks
+        side_by_side = Block([tuple(chain.from_iterable(r)) for r in zip(*(f.rows for f in self.forbidden))])
+        self.forbidden_codes = frozenset(next(self.window_codes(side_by_side), [])[::w])
+        allowed = [c for c in range(windows) if c not in self.forbidden_codes]
+        self.allowed = tuple(_decode(allowed, alphabet.size, h, w))
+        self.code_to_id = dict(zip(allowed, range(1, len(allowed) + 1)))
 
-    @staticmethod
-    def _check_symbols(alphabet: Alphabet, b: Block) -> None:
-        if b.rows and max(b.cells) >= alphabet.size:
-            raise ValueError(
-                f"block uses symbol index {max(b.cells)}, alphabet has {alphabet.size}"
-            )
+    def window_codes(self, b: Block) -> Iterator[Sequence[int]]:
+        """Codes of b's h x w windows, one row at a time; ValueError for a symbol
+        outside the alphabet, whose digit would alias another window's code."""
+        q = self.alphabet.size
+        if not _in_alphabet(b.rows, q):
+            raise ValueError(f"block uses a symbol outside 0..{q - 1}")
+        if b.height < self.h or b.width < self.w:
+            return iter(())
+        return _window_rows(b.rows, q, self.h, self.w)
 
     @property
     def size(self) -> int:
@@ -226,17 +265,19 @@ class ConstraintSystem:
         return self.allowed[k - 1]
 
     def identifier(self, b: Block) -> int | None:
-        """Identifier of an allowed block, or None if b is forbidden or wrong-sized."""
-        return self._ident.get(b)
+        """Identifier of an allowed block, or None if b is forbidden, wrong-sized
+        or uses a symbol outside the alphabet."""
+        q = self.alphabet.size
+        if (b.height, b.width) != (self.h, self.w) or not _in_alphabet(b.rows, q):
+            return None
+        return self.code_to_id.get(next(_window_rows(b.rows, q, self.h, self.w))[0])
 
     def first_forbidden_window(self, b: Block) -> tuple[int, int] | None:
         """Top-left corner of the first forbidden window in row-major scan, if any."""
-        self._check_symbols(self.alphabet, b)
-        if b.height < self.h or b.width < self.w:
-            return None
-        for (i, j), win in b.windows(self.h, self.w):
-            if win in self.forbidden:
-                return (i, j)
+        bad = self.forbidden_codes
+        for i, codes in enumerate(self.window_codes(b), 1):
+            if not bad.isdisjoint(codes):
+                return i, next(j for j, c in enumerate(codes, 1) if c in bad)
         return None
 
     def is_member(self, b: Block) -> bool:
@@ -257,7 +298,7 @@ def embed_forbidden(
     """All h x w blocks containing at least one of the given patterns.
 
     Lets mixed-size patterns (e.g. a 1x2 and a 2x1 adjacency constraint)
-    be expressed as a uniform-size forbidden set.
+    be expressed as a uniform-size forbidden set, built as window codes.
     """
     patterns = list(patterns)
     for p in patterns:
@@ -265,6 +306,20 @@ def embed_forbidden(
             raise ValueError(f"pattern {p.height}x{p.width} exceeds window {h}x{w}")
     if not patterns:
         return frozenset()
-    return frozenset(
-        b for b in all_blocks(alphabet.size, h, w) if any(b.contains(p) for p in patterns)
-    )
+    q = alphabet.size
+    _window_space(q, h, w)
+    codes = set()
+    for p in patterns:
+        if not _in_alphabet(p.rows, q):
+            continue  # a symbol outside the alphabet occurs in no window
+        for top in range(h - p.height + 1):
+            for left in range(w - p.width + 1):  # one placement: grow its codes cell by cell
+                grown = [0]
+                for k in range(h * w):
+                    i, j = divmod(k, w)
+                    if top <= i < top + p.height and left <= j < left + p.width:
+                        grown = [c * q + p.rows[i - top][j - left] for c in grown]
+                    else:
+                        grown = [c * q + x for c in grown for x in range(q)]
+                codes.update(grown)
+    return frozenset(_decode(codes, q, h, w))

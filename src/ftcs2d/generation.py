@@ -317,23 +317,23 @@ def is_generated(g: Presentation, b: Block) -> bool:
     """True iff every window is a vertex and adjacent windows are edge-connected.
 
     Equivalent to: every full-height width-w strip of b is a blue path and every
-    full-width height-h strip is a red path.
+    full-width height-h strip is a red path.  Windows are looked up by code, one
+    row of windows at a time; a symbol outside the alphabet is no vertex.
     """
     if g.kind != COMBINED:
         raise ValueError("generation test requires the combined graph")
     cs = g.system
     if b.height < cs.h or b.width < cs.w:
         raise ValueError(f"block {b.height}x{b.width} below window size {cs.h}x{cs.w}")
-    ids: dict[tuple[int, int], int] = {}
-    for (top, left), win in b.windows(cs.h, cs.w):
-        k = cs.identifier(win)
-        if k is None:
+    try:
+        window_rows = cs.window_codes(b)
+    except ValueError:
+        return False
+    above: list[int | None] = []  # the identifiers of the row of windows above
+    for codes in window_rows:
+        ids = list(map(cs.code_to_id.get, codes))
+        red, blue = zip(ids, ids[1:]), zip(above, ids)  # edges to the right and from above
+        if None in ids or not (g.red_pairs.issuperset(red) and g.blue_pairs.issuperset(blue)):
             return False
-        ids[(top + cs.h - 1, left + cs.w - 1)] = k
-    for i in range(cs.h, b.height + 1):
-        for j in range(cs.w, b.width + 1):
-            if j < b.width and not g.has_red(ids[(i, j)], ids[(i, j + 1)]):
-                return False
-            if i < b.height and not g.has_blue(ids[(i, j)], ids[(i + 1, j)]):
-                return False
+        above = ids
     return True

@@ -12,14 +12,10 @@ from collections import defaultdict
 from itertools import product
 from typing import Iterator
 
-from .blocks import Block, ConstraintSystem
+from .blocks import Block, BudgetExceeded, ConstraintSystem
 
 ENUM_BUDGET = 1 << 24  # candidate blocks
 COUNT_BUDGET = 1 << 20  # row states
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 def _check_size(cs: ConstraintSystem, m: int, n: int) -> None:

@@ -59,6 +59,16 @@ class Presentation:
     def _red_sets(self) -> dict[int, frozenset[int]]:
         return {u: frozenset(vs) for u, vs in self.red.items()}
 
+    @cached_property
+    def blue_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every blue edge as a pair (u, v); built on first use."""
+        return frozenset((u, v) for u, vs in self.blue.items() for v in vs)
+
+    @cached_property
+    def red_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every red edge as a pair (u, v); built on first use."""
+        return frozenset((u, v) for u, vs in self.red.items() for v in vs)
+
     def has_blue(self, u: int, v: int) -> bool:
         return v in self._blue_sets.get(u, frozenset())
 
@@ -127,10 +137,10 @@ class QuadrupleTable:
 
     a, b, c, d sit at top-left, top-right, bottom-left, bottom-right; the tuple
     is present iff red a->b, blue a->c, red c->d and blue b->d all exist, i.e.
-    both the red-then-blue and blue-then-red paths from a to d exist.
+    both the red-then-blue and blue-then-red paths from a to d exist.  Only the
+    completions of each corner (a, b, c) are stored; the 4-tuples are derived.
     """
 
-    quads: frozenset[tuple[int, int, int, int]]
     by_corner: dict[tuple[int, int, int], tuple[int, ...]] = field(repr=False)
 
     def completions(self, a: int, b: int, c: int) -> tuple[int, ...]:
@@ -138,20 +148,19 @@ class QuadrupleTable:
         return self.by_corner.get((a, b, c), ())
 
     def __len__(self) -> int:
-        return len(self.quads)
+        return sum(map(len, self.by_corner.values()))
 
     def __contains__(self, quad: tuple[int, int, int, int]) -> bool:
-        return quad in self.quads
+        return len(quad) == 4 and quad[3] in self.by_corner.get(tuple(quad[:3]), ())
 
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return iter(self.quads)
+        return ((*abc, d) for abc, ds in self.by_corner.items() for d in ds)
 
 
 def quadruples(g: Presentation) -> QuadrupleTable:
     """Enumerate all compatible four-adjacent-vertex path combinations."""
     if g.kind != COMBINED:
         raise ValueError("quadruples require the combined graph")
-    quads = set()
     by_corner = {}
     for a in g.vertices:
         for b in g.red_out(a):
@@ -160,8 +169,7 @@ def quadruples(g: Presentation) -> QuadrupleTable:
                 ds = sorted(blue_from_b & g._red_sets.get(c, frozenset()))
                 if ds:
                     by_corner[(a, b, c)] = tuple(ds)
-                    quads.update((a, b, c, d) for d in ds)
-    return QuadrupleTable(frozenset(quads), by_corner)
+    return QuadrupleTable(by_corner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +203,7 @@ def class_connections(g: Presentation) -> frozenset[tuple[int, int]]:
     """Pairs (k, k') with a blue edge k -> k': the class-to-class connection graph."""
     if g.kind != COMBINED:
         raise ValueError("class connections require the combined graph")
-    return frozenset((u, v) for u, vs in g.blue.items() for v in vs)
+    return g.blue_pairs
 
 
 def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator[tuple[int, ...]]:

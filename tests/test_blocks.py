@@ -5,10 +5,14 @@ from ftcs2d import (
     EMPTY,
     Alphabet,
     Block,
+    BudgetExceeded,
     ConstraintSystem,
     all_blocks,
     embed_forbidden,
+    is_generated,
+    oracle,
 )
+from ftcs2d.blocks import WINDOW_BUDGET
 
 
 def blk(*rows: str) -> Block:
@@ -176,6 +180,37 @@ class TestConstraintSystem:
     def test_alphabet_mismatch(self, hard_square):
         with pytest.raises(ValueError):
             hard_square.is_member(Block(((2,),)))
+
+    def test_negative_symbol_rejected(self, hard_square, hs_graph):
+        # a negative digit would alias another window's code; it used to pass as a member
+        b = Block(((-1, 1), (1, 0)))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            hard_square.is_member(b)
+        with pytest.raises(ValueError):
+            hard_square.first_forbidden_window(Block(((0, 0, 0), (0, 0, -2))))
+        with pytest.raises(ValueError):
+            ConstraintSystem(Alphabet("01"), 2, 2, [b])
+        assert hard_square.identifier(b) is None
+        assert not is_generated(hs_graph, b)
+
+    def test_unknown_symbol_identifier(self, hard_square, hs_graph):
+        b = Block(((2, 0), (0, 0)))
+        assert hard_square.identifier(b) is None
+        assert not is_generated(hs_graph, b)
+
+    def test_window_budget(self):
+        assert oracle.BudgetExceeded is BudgetExceeded
+        # 4^16 windows: refused before any of them is enumerated
+        with pytest.raises(BudgetExceeded, match=f"window space of 4\\^16 4x4 windows exceeds budget {WINDOW_BUDGET}"):
+            ConstraintSystem(Alphabet("0123"), 4, 4, ())
+        with pytest.raises(BudgetExceeded):
+            embed_forbidden(Alphabet("0123"), 4, 4, [blk("11")])
+        with pytest.raises(BudgetExceeded):  # too many to be worth computing
+            ConstraintSystem(Alphabet("01"), 1000, 1000, ())
+        # 2^20 windows are within the budget; a full-size pattern fixes every cell
+        zeros = Block(((0,) * 5,) * 4)
+        assert embed_forbidden(Alphabet("01"), 4, 5, [zeros]) == {zeros}
+        assert ConstraintSystem(Alphabet("0"), 30, 30, ()).size == 1
 
     def test_first_forbidden_window(self, hard_square):
         assert hard_square.first_forbidden_window(blk("111", "000", "000")) == (1, 1)

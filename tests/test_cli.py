@@ -72,6 +72,14 @@ class TestBuild:
     def test_missing_file(self, capsys):
         assert main(["build", "/nonexistent/x.txt"]) == 2
 
+    def test_window_space_budget(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text("alphabet 0123\nsize 4 4\n")
+        assert main(["build", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window space of 4^16 4x4 windows exceeds budget 1048576\n"
+
 
 class TestCheck:
     def test_member(self, hs_file, tmp_path, capsys):
