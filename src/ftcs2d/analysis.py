@@ -43,20 +43,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .presentation import COMBINED, Presentation, walk
+from .presentation import Presentation, walk
 from .oracle import BudgetExceeded
 
 PROFILE_BUDGET = 1 << 22  # row operator: stored identifiers + successor entries
 PERIODIC_BUDGET = 1 << 24  # wrapped column operator: the same
 
 
-def _require_combined(g: Presentation) -> None:
-    if g.kind != COMBINED:
-        raise ValueError("counting requires the combined graph")
-
-
 def _check_size(g: Presentation, m: int, n: int) -> None:
-    _require_combined(g)
     cs = g.system
     if m < cs.h or n < cs.w:
         raise ValueError(f"size {m}x{n} below window size {cs.h}x{cs.w}")
@@ -66,17 +60,18 @@ def _operator(g: Presentation, length: int, wrapped: bool):
     """The states of the row operator (or the wrapped column one), and a state's successors.
 
     Rows: states are red paths, and a successor t sits under s, with t[0]
-    blue from s[0] and t[i] closing (s[i-1], s[i], t[i-1], t[i]).  Wrapped
-    columns: states are closed blue cycles, and t sits right of s, with t[0]
-    red from s[0] and t[i] closing (s[i-1], t[i-1], s[i], t[i]).
+    blue from s[0] and t[i] closing (s[i-1], s[i], t[i-1], t[i]), that is,
+    blue from s[i] and red from t[i-1].  Wrapped columns: states are closed
+    blue cycles, and t sits right of s, with t[0] red from s[0] and t[i]
+    closing (s[i-1], t[i-1], s[i], t[i]): blue from t[i-1], red from s[i].
     """
-    completions = g.quadruple_table.completions
+    completions = g.completions
     if not wrapped:
 
         def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             def options(t: list[int]) -> Iterable[int]:
                 i = len(t)
-                return completions(s[i - 1], s[i], t[i - 1]) if i else g.blue_out(s[0])
+                return completions(s[i], t[i - 1]) if i else g.blue_out(s[0])
 
             return walk(length, options)
 
@@ -94,7 +89,7 @@ def _operator(g: Presentation, length: int, wrapped: bool):
     def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         def options(t: list[int]) -> Iterable[int]:
             i = len(t)
-            return closed(completions(s[i - 1], t[i - 1], s[i]) if i else g.red_out(s[0]), t)
+            return closed(completions(t[i - 1], s[i]) if i else g.red_out(s[0]), t)
 
         return walk(length, options)
 
@@ -177,7 +172,6 @@ def capacity_estimate(
     differences when max_m >= h + 1 and max_n >= w + 1, falling back to a
     single column difference on the thinnest strip otherwise.
     """
-    _require_combined(g)
     cs = g.system
     neg_inf = float("-inf")
     if cs.size == 0:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / member, 1 nonmember, 2 parse error, unreadable file
 or invalid request (such as a size below the window), 3 unrealizable,
-4 computation refused for exceeding its budget.
+4 computation refused for exceeding its budget, 5 any other error (an
+internal fault or running out of memory, for instance).
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except Exception as e:  # noqa: BLE001 -- a crash must not exit 1, the nonmember code
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .blocks import Block
-from .presentation import COMBINED, Presentation, class_connections
+from .presentation import Presentation, class_connections
 
 
 def _vertex_label(g: Presentation, k: int) -> str:
@@ -33,8 +33,6 @@ def to_dot(g: Presentation, name: str = "presentation") -> str:
 
 def classes_to_dot(g: Presentation, name: str = "classes") -> str:
     """Class-connection graph: one node per head identifier, blue edges between classes."""
-    if g.kind != COMBINED:
-        raise ValueError("class graph requires the combined graph")
     out = [f"digraph {name} {{"]
     for k in g.vertices:
         out.append(f'  {k} [label="{_vertex_label(g, k)}", shape=circle];')

@@ -1,4 +1,4 @@
-"""Generating members of the constrained system from its combined graph.
+"""Generating members of the constrained system from its two-colour graph.
 
 A target m x n block is encoded by a grid of window identifiers s(i, j),
 indexed by the right-bottom coordinate of each h x w window (h <= i <= m,
@@ -7,8 +7,9 @@ w <= j <= n).  Cells are filled one at a time:
 * the very first cell (h, w) may take any vertex;
 * a first-row cell (h, j) follows a red edge from s(h, j-1);
 * a first-column cell (i, w) follows a blue edge from s(i-1, w);
-* an interior cell needs its three upper-left neighbours and must close a
-  compatible quadruple with them.
+* an interior cell follows a blue edge from s(i-1, j) and a red edge from
+  s(i, j-1), which closes a compatible quadruple with its three upper-left
+  neighbours.
 
 Greedy filling can dead-end for general forbidden sets, so the search
 backtracks chronologically over the schedule; with backtracking exhausted the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .blocks import Block, ConstraintSystem
-from .presentation import COMBINED, ROW, COLUMN, Presentation, path_strips, walk
+from .presentation import Presentation, path_strips, walk
 
 
 class DeadEnd(RuntimeError):
@@ -153,8 +154,6 @@ def schedule_cells(schedule: str, m: int, n: int, h: int, w: int) -> list[tuple[
 
 def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[int, ...]:
     """Identifiers that may occupy cell (i, j) given its filled predecessors."""
-    if g.kind != COMBINED:
-        raise ValueError("candidate sets require the combined graph")
     cs = g.system
     h, w = cs.h, cs.w
     grid._check(i, j)
@@ -170,10 +169,10 @@ def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[i
         if up is None:
             raise ValueError(f"predecessor ({i - 1},{j}) unfilled")
         return g.blue_out(up)
-    diag, up, left = grid.get(i - 1, j - 1), grid.get(i - 1, j), grid.get(i, j - 1)
-    if diag is None or up is None or left is None:
+    up, left = grid.get(i - 1, j), grid.get(i, j - 1)
+    if up is None or left is None:
         raise ValueError(f"predecessors of ({i},{j}) unfilled")
-    return g.quadruple_table.completions(diag, up, left)
+    return g.completions(up, left)
 
 
 def _fillings(
@@ -253,8 +252,6 @@ def enumerate_blocks(
     stats: GenerationStats | None = None,
 ) -> Iterator[Block]:
     """Every m x n member, by exhaustive DFS in ascending-identifier order."""
-    if g.kind != COMBINED:
-        raise ValueError("enumeration requires the combined graph")
     grid = IdentifierGrid(g.system, m, n)
     order = schedule_cells(schedule, m, n, g.system.h, g.system.w)
     for _ in _fillings(g, grid, order, GenerationPolicy(schedule, chooser="ordered"), stats):
@@ -264,8 +261,8 @@ def enumerate_blocks(
 # -- strip generation (single presentation, one axis) -------------------------
 
 
-def _first_strip(g: Presentation, axis: str, head: int, windows: int, rng: random.Random | None) -> Block:
-    strip = next(path_strips(g, axis, [head], windows, rng), None)
+def _first_strip(g: Presentation, head: int, windows: int, rng: random.Random | None, blue: bool) -> Block:
+    strip = next(path_strips(g, [head], windows, rng, blue=blue), None)
     if strip is None:
         raise DeadEnd(f"no strip of required length from head {head}")
     return strip
@@ -275,24 +272,20 @@ def generate_row_strip(
     gr: Presentation, head: int, m: int, rng: random.Random | None = None
 ) -> Block:
     """An m x w block generated by a blue path starting at block(head)."""
-    if gr.kind not in (ROW, COMBINED):
-        raise ValueError("row strips need blue edges")
     cs = gr.system
     if m < cs.h:
         raise ValueError(f"strip height {m} below window height {cs.h}")
-    return _first_strip(gr, ROW, head, m - cs.h + 1, rng)
+    return _first_strip(gr, head, m - cs.h + 1, rng, blue=True)
 
 
 def generate_col_strip(
     gc: Presentation, head: int, n: int, rng: random.Random | None = None
 ) -> Block:
     """An h x n block generated by a red path starting at block(head)."""
-    if gc.kind not in (COLUMN, COMBINED):
-        raise ValueError("column strips need red edges")
     cs = gc.system
     if n < cs.w:
         raise ValueError(f"strip width {n} below window width {cs.w}")
-    return _first_strip(gc, COLUMN, head, n - cs.w + 1, rng)
+    return _first_strip(gc, head, n - cs.w + 1, rng, blue=False)
 
 
 def enumerate_row_strips(gr: Presentation, m: int, head: int | None = None) -> Iterator[Block]:
@@ -301,7 +294,7 @@ def enumerate_row_strips(gr: Presentation, m: int, head: int | None = None) -> I
     if m < cs.h:
         raise ValueError(f"strip height {m} below window height {cs.h}")
     heads = [head] if head is not None else gr.vertices
-    yield from path_strips(gr, ROW, heads, m - cs.h + 1)
+    yield from path_strips(gr, heads, m - cs.h + 1, blue=True)
 
 
 def enumerate_col_strips(gc: Presentation, n: int, head: int | None = None) -> Iterator[Block]:
@@ -310,7 +303,7 @@ def enumerate_col_strips(gc: Presentation, n: int, head: int | None = None) -> I
     if n < cs.w:
         raise ValueError(f"strip width {n} below window width {cs.w}")
     heads = [head] if head is not None else gc.vertices
-    yield from path_strips(gc, COLUMN, heads, n - cs.w + 1)
+    yield from path_strips(gc, heads, n - cs.w + 1, blue=False)
 
 
 def is_generated(g: Presentation, b: Block) -> bool:
@@ -320,8 +313,6 @@ def is_generated(g: Presentation, b: Block) -> bool:
     full-width height-h strip is a red path.  Windows are looked up by code, one
     row of windows at a time; a symbol outside the alphabet is no vertex.
     """
-    if g.kind != COMBINED:
-        raise ValueError("generation test requires the combined graph")
     cs = g.system
     if b.height < cs.h or b.width < cs.w:
         raise ValueError(f"block {b.height}x{b.width} below window size {cs.h}x{cs.w}")

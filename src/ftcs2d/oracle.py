@@ -29,7 +29,9 @@ def enumerate_members(
     """All m x n members in canonical order, by depth-first scan.
 
     A window is rejected as soon as its last cell is placed, so forbidden
-    prefixes are pruned without expanding the remaining cells.
+    prefixes are pruned without expanding the remaining cells.  The scan
+    keeps one iterator of symbols per placed cell on an explicit stack, so no
+    block size meets the recursion limit.
     """
     _check_size(cs, m, n)
     q = cs.alphabet.size
@@ -38,23 +40,22 @@ def enumerate_members(
     h, w = cs.h, cs.w
     forbidden = {f.rows for f in cs.forbidden}
     grid = [[0] * n for _ in range(m)]
-
-    def place(pos: int) -> Iterator[Block]:
-        if pos == m * n:
+    stack = [iter(range(q))]  # stack[pos]: the symbols left to try at cell pos
+    while stack:
+        sym = next(stack[-1], None)
+        if sym is None:
+            stack.pop()
+            continue
+        i, j = divmod(len(stack) - 1, n)
+        grid[i][j] = sym
+        if i >= h - 1 and j >= w - 1:
+            win = tuple(tuple(grid[i - h + 1 + di][j - w + 1 : j + 1]) for di in range(h))
+            if win in forbidden:
+                continue
+        if len(stack) == m * n:
             yield Block(tuple(tuple(r) for r in grid))
-            return
-        i, j = divmod(pos, n)
-        for sym in range(q):
-            grid[i][j] = sym
-            if i >= h - 1 and j >= w - 1:
-                win = tuple(
-                    tuple(grid[i - h + 1 + di][j - w + 1 : j + 1]) for di in range(h)
-                )
-                if win in forbidden:
-                    continue
-            yield from place(pos + 1)
-
-    yield from place(0)
+        else:
+            stack.append(iter(range(q)))
 
 
 def count_members(cs: ConstraintSystem, m: int, n: int, budget: int = COUNT_BUDGET) -> int:

@@ -7,7 +7,9 @@ u -> v appends one column under the mirrored h x (w-1) overlap, labelled by
 the w-th column of block(v).  For h = 1 (resp. w = 1) the overlap is empty and
 the blue (resp. red) relation is complete, self-loops included.
 
-The combined graph carries both edge sets over the shared vertex set.
+A presentation carries both edge sets over the shared vertex set; the row
+(blue) and column (red) presentations are the same record with the other
+colour left empty, and every consumer reads the colour it needs.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
 
-ROW = "row"
-COLUMN = "column"
-COMBINED = "combined"
-
-
 @dataclass(frozen=True, eq=False)
 class Presentation:
     system: ConstraintSystem
-    kind: str
     blue: dict[int, tuple[int, ...]]  # ascending successor lists
     red: dict[int, tuple[int, ...]]
+    _completions: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def vertices(self) -> range:
@@ -87,6 +84,20 @@ class Presentation:
             raise ValueError(f"no red edge {u} -> {v}")
         return self.system.block(v).col_block(self.system.w)
 
+    def _closing(self, b: int, c: int) -> tuple[int, ...]:
+        return tuple(sorted(self._blue_sets.get(b, frozenset()) & self._red_sets.get(c, frozenset())))
+
+    def completions(self, b: int, c: int) -> tuple[int, ...]:
+        """Every d with blue b -> d and red c -> d, ascending; cached per pair on first use.
+
+        These close every quadruple (a, b, c, d) whose corner (a, b, c) exists:
+        b and c fix all of d's overlaps, so a adds no condition.
+        """
+        ds = self._completions.get((b, c))
+        if ds is None:
+            ds = self._completions[b, c] = self._closing(b, c)
+        return ds
+
     @cached_property
     def quadruple_table(self) -> "QuadrupleTable":
         return quadruples(self)
@@ -108,26 +119,24 @@ def _successors_by_overlap(cs: ConstraintSystem, drop_first, drop_last) -> dict[
 def row_presentation(cs: ConstraintSystem) -> Presentation:
     """Blue edges only: u -> v iff the last h-1 rows of u equal the first h-1 rows of v."""
     blue = _successors_by_overlap(cs, Block.suffix_row, Block.prefix_row)
-    return Presentation(cs, ROW, blue, {})
+    return Presentation(cs, blue, {})
 
 
 def column_presentation(cs: ConstraintSystem) -> Presentation:
     """Red edges only: u -> v iff the last w-1 columns of u equal the first w-1 columns of v."""
     red = _successors_by_overlap(cs, Block.suffix_col, Block.prefix_col)
-    return Presentation(cs, COLUMN, {}, red)
+    return Presentation(cs, {}, red)
 
 
 def combined(gr: Presentation, gc: Presentation) -> Presentation:
-    """Union of the row-wise and column-wise edge sets over the shared vertices."""
-    if gr.kind != ROW or gc.kind != COLUMN:
-        raise ValueError(f"expected a row and a column presentation, got {gr.kind}/{gc.kind}")
+    """The blue edges of gr and the red edges of gc over their shared vertices."""
     if gr.system is not gc.system:
         raise ValueError("presentations built from different systems")
-    return Presentation(gr.system, COMBINED, gr.blue, gc.red)
+    return Presentation(gr.system, gr.blue, gc.red)
 
 
 def build(cs: ConstraintSystem) -> Presentation:
-    """Convenience: build both presentations and combine them."""
+    """The presentation with both edge sets."""
     return combined(row_presentation(cs), column_presentation(cs))
 
 
@@ -137,39 +146,34 @@ class QuadrupleTable:
 
     a, b, c, d sit at top-left, top-right, bottom-left, bottom-right; the tuple
     is present iff red a->b, blue a->c, red c->d and blue b->d all exist, i.e.
-    both the red-then-blue and blue-then-red paths from a to d exist.  Only the
-    completions of each corner (a, b, c) are stored; the 4-tuples are derived.
+    both the red-then-blue and blue-then-red paths from a to d exist.  Nothing
+    is stored: the completions of a corner (a, b, c) are those of the pair
+    (b, c), and length and iteration walk the corners on demand.
     """
 
-    by_corner: dict[tuple[int, int, int], tuple[int, ...]] = field(repr=False)
+    presentation: Presentation = field(repr=False)
 
     def completions(self, a: int, b: int, c: int) -> tuple[int, ...]:
         """All d with (a, b, c, d) compatible, ascending."""
-        return self.by_corner.get((a, b, c), ())
+        g = self.presentation
+        return g.completions(b, c) if g.has_red(a, b) and g.has_blue(a, c) else ()
 
     def __len__(self) -> int:
-        return sum(map(len, self.by_corner.values()))
+        return sum(1 for _ in self)
 
     def __contains__(self, quad: tuple[int, int, int, int]) -> bool:
-        return len(quad) == 4 and quad[3] in self.by_corner.get(tuple(quad[:3]), ())
+        return len(quad) == 4 and quad[3] in self.completions(*quad[:3])
 
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return ((*abc, d) for abc, ds in self.by_corner.items() for d in ds)
+        g = self.presentation
+        return (
+            (a, b, c, d) for a in g.vertices for b in g.red_out(a) for c in g.blue_out(a) for d in g._closing(b, c)
+        )
 
 
 def quadruples(g: Presentation) -> QuadrupleTable:
-    """Enumerate all compatible four-adjacent-vertex path combinations."""
-    if g.kind != COMBINED:
-        raise ValueError("quadruples require the combined graph")
-    by_corner = {}
-    for a in g.vertices:
-        for b in g.red_out(a):
-            blue_from_b = g._blue_sets.get(b, frozenset())
-            for c in g.blue_out(a):
-                ds = sorted(blue_from_b & g._red_sets.get(c, frozenset()))
-                if ds:
-                    by_corner[(a, b, c)] = tuple(ds)
-    return QuadrupleTable(by_corner)
+    """The quadruple table of g; its completions are computed per pair on demand."""
+    return QuadrupleTable(g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +192,10 @@ class ClassView:
         cs = self.presentation.system
         if n < cs.w:
             raise ValueError(f"strip width {n} below window width {cs.w}")
-        yield from path_strips(self.presentation, COLUMN, [self.head], n - cs.w + 1)
+        yield from path_strips(self.presentation, [self.head], n - cs.w + 1, blue=False)
 
 
 def class_view(gc: Presentation, k: int) -> ClassView:
-    if gc.kind != COLUMN:
-        raise ValueError("class views are built over the column presentation")
     if not 1 <= k <= gc.system.size:
         raise ValueError(f"identifier {k} out of range 1..{gc.system.size}")
     return ClassView(gc, k)
@@ -201,8 +203,6 @@ def class_view(gc: Presentation, k: int) -> ClassView:
 
 def class_connections(g: Presentation) -> frozenset[tuple[int, int]]:
     """Pairs (k, k') with a blue edge k -> k': the class-to-class connection graph."""
-    if g.kind != COMBINED:
-        raise ValueError("class connections require the combined graph")
     return g.blue_pairs
 
 
@@ -233,18 +233,18 @@ def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator
 
 
 def path_strips(
-    g: Presentation, axis: str, heads: Sequence[int], windows: int, rng: random.Random | None = None
+    g: Presentation, heads: Sequence[int], windows: int, rng: random.Random | None = None, *, blue: bool
 ) -> Iterator[Block]:
     """Blocks spelled by the paths of ``windows`` vertices starting at a head.
 
-    ``axis`` ROW follows blue edges and stacks rows (an m x w strip); COLUMN
-    follows red edges and appends columns (an h x n strip).  With ``rng`` the
-    successors of each vertex are shuffled before they are tried.
+    ``blue`` paths stack rows (an m x w strip); red paths append columns (an
+    h x n strip).  With ``rng`` the successors of each vertex are shuffled
+    before they are tried.
     """
     allowed = g.system.allowed
     for u in heads:
         g.system.block(u)  # range check
-    out = g.blue_out if axis == ROW else g.red_out
+    out = g.blue_out if blue else g.red_out
 
     def options(path: list[int]) -> Sequence[int]:
         if not path:
@@ -258,7 +258,7 @@ def path_strips(
     last = itemgetter(-1)
     for path in walk(windows, options):
         wins = [allowed[v - 1].rows for v in path]
-        if axis == ROW:  # the head's rows, then the last row of each later window
+        if blue:  # the head's rows, then the last row of each later window
             yield Block(wins[0] + tuple(map(last, wins[1:])))
         else:  # row by row: the head's row, then that row's last cell in each later window
             yield Block(tuple(r[0] + tuple(map(last, r[1:])) for r in zip(*wins)))

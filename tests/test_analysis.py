@@ -37,12 +37,6 @@ class TestProfileCounting:
         assert count_by_profile(hs_graph, 3, 3) == 63
         assert count_by_profile(hs_graph, 3, 5) == 827
 
-    def test_requires_combined(self, hard_square):
-        from ftcs2d import row_presentation
-
-        with pytest.raises(ValueError):
-            count_by_profile(row_presentation(hard_square), 3, 3)
-
     def test_state_budget(self, hs_graph):
         with pytest.raises(BudgetExceeded, match="^row operator of width 39: .* exceed budget 100$"):
             count_by_profile(hs_graph, 3, 40, budget=100)

@@ -1,5 +1,6 @@
 import pytest
 
+from ftcs2d import presentation
 from ftcs2d.cli import main
 from ftcs2d.fileformat import ParseError, format_system, parse_system
 
@@ -202,3 +203,16 @@ class TestExportDot:
         text = out.read_text()
         assert text.count("color=blue") == 17
         assert "shape=circle" in text
+
+
+class TestUnexpectedErrors:
+    @pytest.mark.parametrize("error", [AssertionError("overlap disagreement"), MemoryError()])
+    def test_exit_code_5(self, hs_file, capsys, monkeypatch, error):
+        # a crash must not exit 1, which means "nonmember"
+        def fail(cs):
+            raise error
+
+        monkeypatch.setattr(presentation, "build", fail)
+        assert main(["build", hs_file]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {type(error).__name__}")

@@ -111,11 +111,6 @@ class TestCandidates:
         with pytest.raises(ValueError):
             candidates(hs_graph, grid, 3, 3)
 
-    def test_requires_combined(self, hard_square):
-        grid = IdentifierGrid(hard_square, 3, 3)
-        with pytest.raises(ValueError):
-            candidates(row_presentation(hard_square), grid, 2, 2)
-
 
 class TestStripGeneration:
     def test_height_h_returns_head(self, hard_square):
@@ -281,6 +276,17 @@ class TestIsGenerated:
     def test_equivalence_3x3(self, hard_square, hs_graph):
         for b in all_blocks(2, 3, 3):
             assert is_generated(hs_graph, b) == hard_square.is_member(b)
+
+
+class TestLargeWindowSpace:
+    def test_generate_free_three_symbol_3x3(self):
+        # 19,683 vertices with 531,441 edges of each colour; completions are
+        # computed per pair on demand, never for all 3^14 corners at once
+        cs = ConstraintSystem(Alphabet("abc"), 3, 3, ())
+        g = build(cs)
+        assert (cs.size, g.n_blue, g.n_red) == (3**9, 3**12, 3**12)
+        b = generate_block(g, 20, 20)
+        assert (b.height, b.width) == (20, 20) and cs.is_member(b)
 
 
 class TestReconstruction:

@@ -34,6 +34,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_members(hard_square, 1, 3))
 
+    def test_no_recursion_limit(self):
+        # one symbol: the budget admits any size, and 1600 cells outrun the recursion limit
+        cs = ConstraintSystem(Alphabet("0"), 1, 1, ())
+        assert list(enumerate_members(cs, 40, 40)) == [Block(((0,) * 40,) * 40)]
+
 
 class TestCount:
     def test_hard_square_values(self, hard_square):

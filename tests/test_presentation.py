@@ -81,11 +81,6 @@ class TestCombined:
         with pytest.raises(ValueError):
             combined(gr, gc)
 
-    def test_kind_check(self, hard_square):
-        gr = row_presentation(hard_square)
-        with pytest.raises(ValueError):
-            combined(gr, gr)
-
 
 class TestQuadruples:
     def test_hard_square_count(self, hs_graph):
@@ -119,16 +114,15 @@ class TestQuadruples:
         )
         assert with_repeat == oracle > 0
 
-    def test_requires_combined(self, hard_square):
-        with pytest.raises(ValueError):
-            quadruples(row_presentation(hard_square))
-
     def test_completions_sorted(self, hs_graph):
         t = hs_graph.quadruple_table
-        for (a, b, c), ds in t.by_corner.items():
-            assert list(ds) == sorted(ds)
-            for d in ds:
-                assert (a, b, c, d) in t
+        for a in hs_graph.vertices:
+            for b in hs_graph.red_out(a):
+                for c in hs_graph.blue_out(a):
+                    ds = t.completions(a, b, c)
+                    assert list(ds) == sorted(ds) and ds == hs_graph.completions(b, c)
+                    for d in ds:
+                        assert (a, b, c, d) in t
 
 
 class TestRelabellingInvariance:
@@ -180,10 +174,6 @@ class TestClassViews:
             class_view(gc, 0)
         with pytest.raises(ValueError):
             class_view(gc, 8)
-
-    def test_kind_check(self, hs_graph):
-        with pytest.raises(ValueError):
-            class_view(hs_graph, 1)
 
 
 class TestClassConnections:

@@ -29,9 +29,10 @@ from ftcs2d import (
     enumerate_members,
     generate_block,
     is_generated,
+    row_presentation,
 )
+from ftcs2d.fileformat import format_system, parse_system
 from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips
-from ftcs2d.presentation import COMBINED
 
 MAX_CANDIDATES = 4096  # q ** (m * n) for the oracle's scan, to keep the suite fast
 
@@ -79,6 +80,38 @@ def test_strips_match_oracle(cs, m_extra, n_extra):
     assert canonical(enumerate_row_strips(g, m)) == rows
     assert canonical(enumerate_col_strips(g, n)) == cols
     assert canonical(s for k in gc.vertices for s in class_view(gc, k).strips(n)) == cols
+
+
+# -- the one-colour views: each reads only the edges of its colour ------------
+
+
+@walker_settings
+@given(cs=systems(), m_extra=extras)
+@example(cs=ROW_WINDOW, m_extra=2)
+@example(cs=COL_WINDOW, m_extra=2)
+def test_row_presentation_counts_strips(cs, m_extra):
+    m = cs.h + m_extra
+    assert count_by_profile(row_presentation(cs), m, cs.w) == count_members(cs, m, cs.w)
+
+
+@walker_settings
+@given(cs=systems(), n_extra=extras)
+@example(cs=ROW_WINDOW, n_extra=2)
+@example(cs=COL_WINDOW, n_extra=2)
+def test_column_presentation_counts_strips(cs, n_extra):
+    n = cs.w + n_extra
+    assert count_by_profile(column_presentation(cs), cs.h, n) == count_members(cs, cs.h, n)
+
+
+@walker_settings
+@given(cs=systems(), n_extra=st.integers(0, 2))
+@example(cs=FREE, n_extra=2)
+@example(cs=ROW_WINDOW, n_extra=2)
+def test_class_view_reads_red_edges(cs, n_extra):
+    n = cs.w + n_extra
+    g, gc = build(cs), column_presentation(cs)
+    for k in g.vertices:
+        assert list(class_view(g, k).strips(n)) == list(class_view(gc, k).strips(n))
 
 
 @walker_settings
@@ -254,13 +287,21 @@ def test_is_generated_matches_naive(case, data):
         colour, u, v = data.draw(st.sampled_from(walked))
         edges = {"blue": dict(g.blue), "red": dict(g.red)}
         edges[colour][u] = tuple(x for x in edges[colour][u] if x != v)
-        g = Presentation(cs, COMBINED, edges["blue"], edges["red"])
+        g = Presentation(cs, edges["blue"], edges["red"])
     naive = None not in ids.values() and all(
         ((i, j + 1) not in ids or g.has_red(k, ids[i, j + 1]))
         and ((i + 1, j) not in ids or g.has_blue(k, ids[i + 1, j]))
         for (i, j), k in ids.items()
     )
     assert is_generated(g, b) == naive
+
+
+@scan_settings
+@given(cs=window_systems())
+def test_format_system_round_trips(cs):
+    again = parse_system(format_system(cs))
+    assert again.alphabet == cs.alphabet and (again.h, again.w) == (cs.h, cs.w)
+    assert again.forbidden == cs.forbidden and again.allowed == cs.allowed
 
 
 @scan_settings
