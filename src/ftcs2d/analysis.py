@@ -1,28 +1,38 @@
 """Graph-guided counting and capacity estimation.
 
-Every count runs over one sparse transfer operator.  Its states are the
-identifier sequences of one length that follow one edge colour; the
-successors of a state are the sequences that follow the same colour and are
-joined to it cell by cell by the other colour, so that each 2x2 of
-identifiers closes a quadruple.  The operator is enumerated once with
-``presentation.walk``, stored as successor index lists, and one sweep in exact
-Python integers gives the totals of every step at once:
+Every count is one sweep over a grid of identifiers that places one
+identifier at a time, line by line: rows of n - w + 1 identifiers for
+``count_by_profile``, columns of m identifiers for ``count_periodic``.  The
+cell d under b and right of c is any of ``Presentation.completions(b, c)``,
+the blue successors of b that are red successors of c; the corner a adds no
+condition.  Grids biject with member blocks, so the totals are member counts.
 
-* rows: red paths of n - w + 1 identifiers, linked by blue edges; step k
-  totals N(h + k, n).  Since grids biject with member blocks,
-  ``count_by_profile`` equals the member count, and any disagreement with the
-  oracle points at an edge bug.
-* wrapped columns: blue paths of m identifiers closed into a cycle (for
-  m = 1, a blue self-loop), linked by red edges; step k totals the height-m
-  strips of width w + k with vertical wraparound (``count_periodic``).
-
-A budget caps the operator actually built: the identifiers stored in its
-states plus its successor entries.  It is checked while the operator is
-enumerated, and ``BudgetExceeded`` names the operator and the limit.
+* States.  A state is the frontier of a partial grid, one entry per cell of
+  a line, and a dict maps it to its number of partial grids, in exact Python
+  integers.  The sweep starts under a wildcard line (0, under which every
+  identifier fits); the sum at the end of line k is the count at k lines.
+* Lumping.  A frontier cell the sweep has passed is read only once more, by
+  the cell under it (rows) or right of it (columns), and only through its
+  successors of the colour that joins lines.  So it is kept as its class, the
+  first identifier with the same such successors (``blue_class`` for rows,
+  ``red_class`` for columns).  The cell just placed is kept whole, since the
+  next cell of its line also reads its other colour; a line's last cell is
+  lumped as it is placed.
+* Why it is exact.  What a step may place depends on a state only through
+  the entries it reads, and on each only through the successors kept.  So
+  the partial grids merged into one state have the same completions, one for
+  one, and adding their counts changes no total.
+* Wrapped columns.  The last cell of a column also needs a blue edge back to
+  the first (for m = 1, a blue self-loop), so the sweep holds the first cell
+  whole until it places the last, and checks the edge there.  Line k totals
+  the height-m strips of width w + k - 1 with vertical wraparound.
+* Budget.  The live states times the line length may not exceed the budget
+  after any cell is placed.  The check runs as states are built, and
+  ``BudgetExceeded`` names the operator and gives the live states.
 
 Capacity (the limit of log2 N(m, n) / (m n)) is bracketed from strip counts,
-taken from one row operator per width (max_n and max_n - 1) and one wrapped
-operator per height:
+taken from one row sweep per width (max_n and max_n - 1) and one wrapped
+sweep per height:
 
 * point estimate: the second difference of log2 N at the largest computed
   sizes, which cancels the linear boundary terms of log2 N ~ c*mn + a*m + b*n + d;
@@ -38,16 +48,14 @@ ordering only.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from .presentation import Presentation, walk
+from .presentation import Presentation
 from .oracle import BudgetExceeded
 
-PROFILE_BUDGET = 1 << 22  # row operator: stored identifiers + successor entries
-PERIODIC_BUDGET = 1 << 24  # wrapped column operator: the same
+PROFILE_BUDGET = 1 << 22  # rows: live states times row length, at every cell
+PERIODIC_BUDGET = 1 << 24  # wrapped columns: live states times height, at every cell
 
 
 def _check_size(g: Presentation, m: int, n: int) -> None:
@@ -56,73 +64,67 @@ def _check_size(g: Presentation, m: int, n: int) -> None:
         raise ValueError(f"size {m}x{n} below window size {cs.h}x{cs.w}")
 
 
-def _operator(g: Presentation, length: int, wrapped: bool):
-    """The states of the row operator (or the wrapped column one), and a state's successors.
+def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int) -> list[int]:
+    """The number of identifier grids of 1 .. ``lines`` lines of ``length`` cells.
 
-    Rows: states are red paths, and a successor t sits under s, with t[0]
-    blue from s[0] and t[i] closing (s[i-1], s[i], t[i-1], t[i]), that is,
-    blue from s[i] and red from t[i-1].  Wrapped columns: states are closed
-    blue cycles, and t sits right of s, with t[0] red from s[0] and t[i]
-    closing (s[i-1], t[i-1], s[i], t[i]): blue from t[i-1], red from s[i].
+    A state packs its cells into one int, ``bits`` bits per cell, the first
+    lowest; a wrapped column's held first cell takes one more field above.  A
+    cell d is placed from the cell p of the previous line at its position and
+    the cell b before it in its line.
     """
-    completions = g.completions
-    if not wrapped:
-
-        def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            def options(t: list[int]) -> Iterable[int]:
-                i = len(t)
-                return completions(s[i], t[i - 1]) if i else g.blue_out(s[0])
-
-            return walk(length, options)
-
-        return walk(length, lambda s: g.red_out(s[-1]) if s else g.vertices), successors
-
-    blue_in: dict[int, set[int]] = defaultdict(set)
-    for u in g.vertices:
-        for v in g.blue_out(u):
-            blue_in[v].add(u)
-
-    def closed(after: Iterable[int], t: list[int]) -> Iterable[int]:
-        # the last cell of a column has a blue edge back to its first (or to itself)
-        return [d for d in after if d in blue_in[t[0] if t else d]] if len(t) == length - 1 else after
-
-    def successors(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        def options(t: list[int]) -> Iterable[int]:
-            i = len(t)
-            return closed(completions(t[i - 1], s[i]) if i else g.red_out(s[0]), t)
-
-        return walk(length, options)
-
-    return walk(length, lambda s: closed(g.blue_out(s[-1]) if s else g.vertices, s)), successors
-
-
-def _totals(g: Presentation, length: int, wrapped: bool, steps: int, budget: int) -> list[int]:
-    """Totals of the chains of 1 .. steps + 1 states of one transfer operator."""
     layer = f"wrapped column operator of height {length}" if wrapped else f"row operator of width {length}"
-    used = 0
+    cap = budget // length  # live states allowed
+    completions, blue, red, blue_in = g.completions, g.blue.get, g.red.get, g.blue_in
+    # rows: p above and b on the left; wrapped columns: p on the left and b above
+    rep, lead, back = (g.red_class, red, blue) if wrapped else (g.blue_class, blue, red)
 
-    def charge(k: int) -> None:
-        nonlocal used
-        used += k
-        if used > budget:
-            raise BudgetExceeded(f"{layer}: {used} stored identifiers and successor entries exceed budget {budget}")
+    def fits(p: int, b: int) -> tuple[int, ...]:
+        return back(b, ()) if not p else completions(b, p) if wrapped else completions(p, b)
 
-    states, successors = _operator(g, length, wrapped)
-    index: dict[tuple[int, ...], int] = {}
-    for s in states:
-        charge(length)
-        index[s] = len(index)
-    if not steps:
-        return [len(index)]
-    succ = []  # successor index lists, one machine word per entry
-    for s in index:
-        succ.append(array("L", map(index.__getitem__, successors(s))))
-        charge(len(succ[-1]))
-    v = [1] * len(succ)  # v[k]: chains of the current length starting at state k
-    totals = [len(v)]
-    for _ in range(steps):
-        v = [sum(map(v.__getitem__, row)) for row in succ]
-        totals.append(sum(v))
+    every = tuple(g.vertices)
+    bits = len(every).bit_length()
+    mask = (1 << bits) - 1
+
+    # The moves a step adds to a state depend only on the fields k it reads: each
+    # kind of cell makes them once per k, relative to k, to clear k, lump b and place d.
+    def first(k: int) -> list[int]:  # reads p; 0 is the wildcard line
+        ds = lead(k, ()) if k else every
+        if length == 1:  # also the last cell
+            return [rep[d] - k for d in ds if not wrapped or d in blue_in[d]]  # a blue self-loop
+        return [d + (d << length * bits if wrapped else 0) - k for d in ds]  # wrapped: and hold d
+
+    def inner(k: int) -> list[int]:  # reads b, p
+        b = k & mask
+        return [rep[b] - k + (d << bits) for d in fits(k >> bits, b)]
+
+    def last(k: int) -> list[int]:  # reads b, p
+        b = k & mask
+        return [rep[b] - k + (rep[d] << bits) for d in fits(k >> bits, b)]
+
+    def closing(k: int) -> list[int]:  # reads b, p and the held first cell f: d -> f is blue
+        b, p, into = k & mask, k >> bits & mask, blue_in[k >> 2 * bits]
+        return [rep[b] - k + (rep[d] << bits) for d in (completions(b, p) if p else blue(b, ())) if d in into]
+
+    # per kind of cell: its moves, the moves made so far, the fields it reads
+    kinds = (first, {}, mask), (inner, {}, (1 << 2 * bits) - 1), (closing if wrapped else last, {}, -1)
+    states = {0: 1}
+    totals = []
+    for _ in range(lines):
+        for j in range(length):
+            make, made, fields = kinds[0 if not j else 2 if j == length - 1 else 1]
+            shift = max(j - 1, 0) * bits
+            new: dict[int, int] = defaultdict(int)
+            for s, c in states.items():
+                k = s >> shift & fields
+                moves = made.get(k)
+                if moves is None:
+                    moves = made[k] = make(k)
+                for move in moves:
+                    new[s + (move << shift)] += c
+                if len(new) > cap:
+                    raise BudgetExceeded(f"{layer}: {len(new)} live states of {length} cells exceed budget {budget}")
+            states = new
+        totals.append(sum(states.values()))
     return totals
 
 
@@ -130,19 +132,17 @@ def count_by_profile(g: Presentation, m: int, n: int, budget: int = PROFILE_BUDG
     """N(m, n) by a sweep over rows of the identifier grid."""
     _check_size(g, m, n)
     cs = g.system
-    return _totals(g, n - cs.w + 1, False, m - cs.h, budget)[-1]
+    return _sweep(g, n - cs.w + 1, m - cs.h + 1, False, budget)[-1]
 
 
 def count_periodic(g: Presentation, m: int, n: int, budget: int = PERIODIC_BUDGET) -> list[int]:
     """Counts of height-m strips with vertical wraparound, for widths w..n.
 
-    A wrapped strip corresponds to an extended strip of height m + h - 1 whose
-    last h - 1 rows repeat its first h - 1 rows; on the identifier grid that
-    adds a blue edge from each bottom-row cell back to its top-row cell, so
-    its columns are closed blue cycles of m identifiers.
+    A wrapped strip is a strip of height m + h - 1 whose last h - 1 rows repeat
+    its first h - 1: its identifier columns are closed blue cycles of m cells.
     """
     _check_size(g, m, n)
-    return _totals(g, m, True, n - g.system.w, budget)
+    return _sweep(g, m, n - g.system.w + 1, True, budget)
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,8 @@ class CapacityEstimate:
 
 
 def capacity_estimate(
-    g: Presentation,
-    max_m: int,
-    max_n: int,
-    profile_budget: int = PROFILE_BUDGET,
-    periodic_budget: int = PERIODIC_BUDGET,
+    g: Presentation, max_m: int, max_n: int,
+    profile_budget: int = PROFILE_BUDGET, periodic_budget: int = PERIODIC_BUDGET,
 ) -> CapacityEstimate:
     """Bracket the capacity from counts up to max_m x max_n.
 
@@ -177,14 +174,10 @@ def capacity_estimate(
     if cs.size == 0:
         return CapacityEstimate(neg_inf, neg_inf, neg_inf, max_m, max_n, ())
     if max_m < cs.h or max_n < cs.w + 1:
-        raise ValueError(
-            f"need max_m >= {cs.h} and max_n >= {cs.w + 1}, got {max_m}x{max_n}"
-        )
+        raise ValueError(f"need max_m >= {cs.h} and max_n >= {cs.w + 1}, got {max_m}x{max_n}")
     heights = tuple(range(cs.h, max_m + 1))
-    # wide[k], narrow[k]: N(h + k, max_n), N(h + k, max_n - 1), each from one row operator
-    wide, narrow = (
-        _totals(g, n - cs.w + 1, False, max_m - cs.h, profile_budget) for n in (max_n, max_n - 1)
-    )
+    # wide[k], narrow[k]: N(h + k, max_n), N(h + k, max_n - 1), each from one row sweep
+    wide, narrow = (_sweep(g, n - cs.w + 1, len(heights), False, profile_budget) for n in (max_n, max_n - 1))
 
     def log2(x: int) -> float:
         return math.log2(x) if x > 0 else neg_inf
@@ -193,11 +186,8 @@ def capacity_estimate(
     upper = min((log2(wide[k]) - log2(narrow[k])) / m for k, m in enumerate(heights))
 
     # lower: wrapped-strip growth per column, minimized over heights
-    rates = []
-    for m in heights:
-        per = count_periodic(g, m, max_n, periodic_budget)
-        rates.append((log2(per[-1]) - log2(per[-2])) / m)
-    lower = min(rates)
+    wrapped = (count_periodic(g, m, max_n, periodic_budget) for m in heights)
+    lower = min((log2(per[-1]) - log2(per[-2])) / m for m, per in zip(heights, wrapped))
 
     # point: boundary-cancelling second difference of log2 N
     if max_m >= cs.h + 1:

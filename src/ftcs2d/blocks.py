@@ -42,10 +42,6 @@ class Block:
             rows = ()  # canonical empty block
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Block":
-        return cls(tuple(tuple(r) for r in rows))
-
     @property
     def height(self) -> int:
         return len(self.rows)

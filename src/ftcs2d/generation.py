@@ -73,11 +73,6 @@ class IdentifierGrid:
     def grid_cols(self) -> int:
         return self.n - self.system.w + 1
 
-    def coords(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.system.h, self.m + 1):
-            for j in range(self.system.w, self.n + 1):
-                yield (i, j)
-
     def _check(self, i: int, j: int) -> None:
         if not (self.system.h <= i <= self.m and self.system.w <= j <= self.n):
             raise ValueError(f"cell ({i},{j}) outside identifier grid of {self.m}x{self.n} target")

@@ -49,14 +49,6 @@ class Presentation:
         return self.red.get(u, ())
 
     @cached_property
-    def _blue_sets(self) -> dict[int, frozenset[int]]:
-        return {u: frozenset(vs) for u, vs in self.blue.items()}
-
-    @cached_property
-    def _red_sets(self) -> dict[int, frozenset[int]]:
-        return {u: frozenset(vs) for u, vs in self.red.items()}
-
-    @cached_property
     def blue_pairs(self) -> frozenset[tuple[int, int]]:
         """Every blue edge as a pair (u, v); built on first use."""
         return frozenset((u, v) for u, vs in self.blue.items() for v in vs)
@@ -66,11 +58,34 @@ class Presentation:
         """Every red edge as a pair (u, v); built on first use."""
         return frozenset((u, v) for u, vs in self.red.items() for v in vs)
 
+    def _classes(self, out: dict[int, tuple[int, ...]]) -> list[int]:
+        first: dict[tuple[int, ...], int] = {}
+        return [0] + [first.setdefault(out.get(u, ()), u) for u in self.vertices]
+
+    @cached_property
+    def blue_class(self) -> list[int]:
+        """blue_class[u]: the first identifier with the blue successors of u (0 for 0)."""
+        return self._classes(self.blue)
+
+    @cached_property
+    def red_class(self) -> list[int]:
+        """red_class[u]: the first identifier with the red successors of u (0 for 0)."""
+        return self._classes(self.red)
+
+    @cached_property
+    def blue_in(self) -> list[set[int]]:
+        """blue_in[v]: every u with a blue edge u -> v."""
+        into: list[set[int]] = [set() for _ in range(self.system.size + 1)]
+        for u, vs in self.blue.items():
+            for v in vs:
+                into[v].add(u)
+        return into
+
     def has_blue(self, u: int, v: int) -> bool:
-        return v in self._blue_sets.get(u, frozenset())
+        return (u, v) in self.blue_pairs
 
     def has_red(self, u: int, v: int) -> bool:
-        return v in self._red_sets.get(u, frozenset())
+        return (u, v) in self.red_pairs
 
     def blue_label(self, u: int, v: int) -> Block:
         """Label of blue edge u -> v: the h-th row of block(v), as a 1 x w block."""
@@ -85,7 +100,7 @@ class Presentation:
         return self.system.block(v).col_block(self.system.w)
 
     def _closing(self, b: int, c: int) -> tuple[int, ...]:
-        return tuple(sorted(self._blue_sets.get(b, frozenset()) & self._red_sets.get(c, frozenset())))
+        return tuple(d for d in self.red_out(c) if b in self.blue_in[d])
 
     def completions(self, b: int, c: int) -> tuple[int, ...]:
         """Every d with blue b -> d and red c -> d, ascending; cached per pair on first use.
@@ -148,7 +163,7 @@ class QuadrupleTable:
     is present iff red a->b, blue a->c, red c->d and blue b->d all exist, i.e.
     both the red-then-blue and blue-then-red paths from a to d exist.  Nothing
     is stored: the completions of a corner (a, b, c) are those of the pair
-    (b, c), and length and iteration walk the corners on demand.
+    (b, c), iteration walks the corners on demand, and the length is counted.
     """
 
     presentation: Presentation = field(repr=False)
@@ -159,7 +174,10 @@ class QuadrupleTable:
         return g.completions(b, c) if g.has_red(a, b) and g.has_blue(a, c) else ()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        """N(h + 1, w + 1): the quadruples biject with the (h+1) x (w+1) members."""
+        from .analysis import count_by_profile  # analysis imports this module
+        g = self.presentation
+        return count_by_profile(g, g.system.h + 1, g.system.w + 1)
 
     def __contains__(self, quad: tuple[int, int, int, int]) -> bool:
         return len(quad) == 4 and quad[3] in self.completions(*quad[:3])

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -16,6 +17,10 @@ from ftcs2d import (
     count_members,
     count_periodic,
 )
+
+# N(16, 16) for hard square, from a transfer over 16-bit rows with no two
+# adjacent 1s (v'[s] sums v[r] over rows r with r & s == 0)
+HARD_SQUARE_16 = 18396766424410124752958806046933947217821482942
 
 
 class TestProfileCounting:
@@ -42,15 +47,36 @@ class TestProfileCounting:
             count_by_profile(hs_graph, 3, 40, budget=100)
 
     def test_budget_counts_operator_built(self, hs_graph):
-        # 17 rows of 2 identifiers (34 stored) and 63 successor entries, one per 3x3 member
-        assert count_by_profile(hs_graph, 3, 3, budget=97) == 63
-        with pytest.raises(BudgetExceeded, match="97 stored identifiers and successor entries exceed budget 96"):
-            count_by_profile(hs_graph, 3, 3, budget=96)
+        # 3x3 is two identifier rows of two cells; a passed cell is lumped to its
+        # blue class, which for hard square is its window's bottom row (00, 01, 10)
+        # first row, cell 1: 7 states, one per identifier
+        # first row, cell 2: both cells lumped, one state per bottom row of a 2x3
+        #   strip (000, 001, 010, 100, 101): 5 states holding 17 strips
+        # second row, cell 1: the new cell (block rows 2-3, columns 1-2) and the
+        #   class of the cell above-right (block row 2, columns 2-3): block row 2
+        #   is one of those 5 rows, and block row 3 at columns 1-2 (00, 01 or 10)
+        #   has no 1 under a 1 of it: 3 + 3 + 2 + 2 + 2 = 12 states
+        # second row, cell 2: one state per bottom row again, 5 states (63 members)
+        # peak: 12 live states of 2 cells, a charge of 24
+        assert count_by_profile(hs_graph, 3, 3, budget=24) == 63
+        with pytest.raises(BudgetExceeded, match="^row operator of width 2: 12 live states of 2 cells exceed budget 23$"):
+            count_by_profile(hs_graph, 3, 3, budget=23)
 
     def test_large_squares_default_budget(self, hs_graph):
-        # OEIS A006506; both exceeded the old size ** width state budget
+        # OEIS A006506; 9x9 and 10x10 exceeded the old size ** width state budget
         assert count_by_profile(hs_graph, 9, 9) == 770548397261707
         assert count_by_profile(hs_graph, 10, 10) == 2030049051145980050
+        assert count_by_profile(hs_graph, 11, 11) == 12083401651433651945979
+        assert count_by_profile(hs_graph, 12, 12) == 162481813349792588536582997
+
+    def test_16x16_default_budget(self, hs_graph):
+        start = time.perf_counter()
+        assert count_by_profile(hs_graph, 16, 16) == HARD_SQUARE_16
+        assert time.perf_counter() - start < 5
+
+    def test_three_symbol_3x6(self, three_symbol, three_symbol_graph):
+        # whole-row successors took about 30 s here at a budget of 2^40
+        assert count_by_profile(three_symbol_graph, 3, 6) == count_members(three_symbol, 3, 6) == 21045446
 
     def test_guarded_submultiplicativity(self, hs_graph):
         # N(m, n1 + n2) <= N(m, n1) * N(m, n2) for n1, n2 >= w

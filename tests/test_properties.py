@@ -29,6 +29,7 @@ from ftcs2d import (
     enumerate_members,
     generate_block,
     is_generated,
+    quadruples,
     row_presentation,
 )
 from ftcs2d.fileformat import format_system, parse_system
@@ -184,6 +185,20 @@ def test_quadruple_table_matches_definition(cs):
     t = g.quadruple_table
     assert len(t) == len(quads) and sorted(t) == sorted(quads)
     assert {q for q in product(range(cs.size + 2), repeat=4) if q in t} == quads
+
+
+@walker_settings
+@given(cs=systems())
+@example(cs=FREE)
+@example(cs=EMPTY)
+@example(cs=ROW_WINDOW)
+@example(cs=COL_WINDOW)
+def test_quadruple_count_matches_iteration(cs):
+    """The length, counted as N(h + 1, w + 1), against the quadruples walked,
+    also on the one-colour views, which have none."""
+    for g in (build(cs), row_presentation(cs), column_presentation(cs)):
+        t = quadruples(g)
+        assert len(t) == sum(1 for _ in t)
 
 
 # -- window scans against naive references that slice one Block per window ----
