@@ -171,10 +171,10 @@ def capacity_estimate(
     """
     cs = g.system
     neg_inf = float("-inf")
-    if cs.size == 0:
-        return CapacityEstimate(neg_inf, neg_inf, neg_inf, max_m, max_n, ())
     if max_m < cs.h or max_n < cs.w + 1:
         raise ValueError(f"need max_m >= {cs.h} and max_n >= {cs.w + 1}, got {max_m}x{max_n}")
+    if cs.size == 0:
+        return CapacityEstimate(neg_inf, neg_inf, neg_inf, max_m, max_n, ())
     heights = tuple(range(cs.h, max_m + 1))
     # wide[k], narrow[k]: N(h + k, max_n), N(h + k, max_n - 1), each from one row sweep
     wide, narrow = (_sweep(g, n - cs.w + 1, len(heights), False, profile_budget) for n in (max_n, max_n - 1))

@@ -5,8 +5,8 @@ A block is an m x n array of symbol indices.  Coordinates are 1-based with
 zero width) all collapse to the single empty block ``EMPTY``.
 
 A :class:`ConstraintSystem` fixes a window size ``(h, w)`` and a forbidden set
-of ``h x w`` blocks; a block is a member of the system when none of its
-``h x w`` windows is forbidden.
+of blocks no larger than ``h x w``; a block is a member of the system when
+none of its ``h x w`` windows contains a forbidden block.
 
 A window's *code* is its cells, read row-major, as base-q digits (q the
 alphabet size).  It equals the window's rank in ``all_blocks(q, h, w)``, so the
@@ -16,8 +16,11 @@ work on codes by arithmetic; a window space above ``WINDOW_BUDGET`` is refused.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 WINDOW_BUDGET = 1 << 20  # codes in the window space of a system or an embedding
@@ -53,7 +56,7 @@ class Block:
     @property
     def cells(self) -> tuple[int, ...]:
         """Row-major flattening; also the canonical-order sort key."""
-        return tuple(c for r in self.rows for c in r)
+        return tuple(chain.from_iterable(self.rows))
 
     def is_empty(self) -> bool:
         return not self.rows
@@ -160,7 +163,7 @@ class Alphabet:
 
     def index(self, token: str) -> int:
         i = self.symbols.find(token)
-        if i < 0:
+        if len(token) != 1 or i < 0:
             raise ValueError(f"symbol {token!r} not in alphabet {self.symbols!r}")
         return i
 
@@ -206,7 +209,7 @@ def _window_rows(rows: Sequence[Sequence[int]], q: int, h: int, w: int) -> Itera
             yield codes
 
 
-def _decode(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:
+def decode_windows(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:
     """The h x w blocks with the given codes, in the order given."""
     qw = q**w
     lines = list(product(range(q), repeat=w))  # block rows, indexed by their codes
@@ -214,31 +217,62 @@ def _decode(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:
     return [Block(tuple(lines[c // p % qw] for p in weights)) for c in codes]
 
 
+def _fit(blocks: Iterable[Block], h: int, w: int) -> list[Block]:
+    """The blocks as a list; ValueError for one larger than the h x w window."""
+    blocks = list(blocks)
+    for b in blocks:
+        if b.height > h or b.width > w:
+            raise ValueError(f"block {b.height}x{b.width} exceeds window {h}x{w}")
+    return blocks
+
+
+def _grow_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> set[int]:
+    """Codes of the h x w windows that contain at least one of the blocks: each
+    placement fixes the digits of a block's cells, the free cells take every digit."""
+    weights = [q ** (h * w - 1 - k) for k in range(h * w)]  # of the cells, row-major
+    shapes = defaultdict(set)  # the cells of the blocks of each shape, placed together
+    for b in blocks:
+        shapes[b.height, b.width].add(b.cells)
+    codes = set()
+    for (m, n), cells in shapes.items():
+        for top, left in product(range(h - m + 1), range(w - n + 1)):
+            inside = [(top + i) * w + left + j for i in range(m) for j in range(n)]
+            grown = [sum(map(mul, c, [weights[k] for k in inside])) for c in cells]
+            for k in set(range(h * w)).difference(inside):
+                grown = [c + x * weights[k] for c in grown for x in range(q)]
+            codes.update(grown)
+    return codes
+
+
 class ConstraintSystem:
     """Window size (h, w), forbidden set F, and the derived allowed set.
 
+    F is given as blocks of any size up to h x w; a smaller block forbids every
+    window that contains it.  ``forbidden_codes`` holds the codes of the
+    forbidden windows, and ``forbidden`` decodes them into blocks on first use.
     Allowed blocks are numbered 1..size in canonical order; this numbering is
     the identifier bijection used as the vertex set of every presentation.
-    ``forbidden_codes`` holds the codes of F and ``code_to_id`` maps the code
-    of each allowed window to its identifier.
+    ``code_to_id`` maps the code of each allowed window to its identifier.
     """
 
     def __init__(self, alphabet: Alphabet, h: int, w: int, forbidden: Iterable[Block]):
         if h < 1 or w < 1:
             raise ValueError(f"window size must be positive, got {h}x{w}")
-        windows = _window_space(alphabet.size, h, w)
+        q = alphabet.size
+        windows = _window_space(q, h, w)
         self.alphabet, self.h, self.w = alphabet, h, w
-        self.forbidden = frozenset(forbidden)
-        for f in self.forbidden:
-            if (f.height, f.width) != (h, w):
-                raise ValueError(f"forbidden block is {f.height}x{f.width}, expected {h}x{w}")
-        # side by side, the forbidden blocks form one h x (w |F|) block whose
-        # windows at every w-th column are the forbidden blocks
-        side_by_side = Block([tuple(chain.from_iterable(r)) for r in zip(*(f.rows for f in self.forbidden))])
-        self.forbidden_codes = frozenset(next(self.window_codes(side_by_side), [])[::w])
+        blocks = _fit(forbidden, h, w)
+        if not {x for b in blocks for r in b.rows for x in r} <= set(range(q)):
+            raise ValueError(f"forbidden block uses a symbol outside 0..{q - 1}")
+        self.forbidden_codes = frozenset(_grow_codes(blocks, q, h, w))
         allowed = [c for c in range(windows) if c not in self.forbidden_codes]
-        self.allowed = tuple(_decode(allowed, alphabet.size, h, w))
+        self.allowed = tuple(decode_windows(allowed, q, h, w))
         self.code_to_id = dict(zip(allowed, range(1, len(allowed) + 1)))
+
+    @cached_property
+    def forbidden(self) -> frozenset[Block]:
+        """The forbidden h x w windows as blocks."""
+        return frozenset(decode_windows(self.forbidden_codes, self.alphabet.size, self.h, self.w))
 
     def window_codes(self, b: Block) -> Iterator[Sequence[int]]:
         """Codes of b's h x w windows, one row at a time; ValueError for a symbol
@@ -294,28 +328,13 @@ def embed_forbidden(
     """All h x w blocks containing at least one of the given patterns.
 
     Lets mixed-size patterns (e.g. a 1x2 and a 2x1 adjacency constraint)
-    be expressed as a uniform-size forbidden set, built as window codes.
+    be expressed as a uniform-size forbidden set.  A pattern with a symbol
+    outside the alphabet occurs in no window and is skipped.
     """
-    patterns = list(patterns)
-    for p in patterns:
-        if p.height > h or p.width > w:
-            raise ValueError(f"pattern {p.height}x{p.width} exceeds window {h}x{w}")
+    patterns = _fit(patterns, h, w)
     if not patterns:
         return frozenset()
     q = alphabet.size
     _window_space(q, h, w)
-    codes = set()
-    for p in patterns:
-        if not _in_alphabet(p.rows, q):
-            continue  # a symbol outside the alphabet occurs in no window
-        for top in range(h - p.height + 1):
-            for left in range(w - p.width + 1):  # one placement: grow its codes cell by cell
-                grown = [0]
-                for k in range(h * w):
-                    i, j = divmod(k, w)
-                    if top <= i < top + p.height and left <= j < left + p.width:
-                        grown = [c * q + p.rows[i - top][j - left] for c in grown]
-                    else:
-                        grown = [c * q + x for c in grown for x in range(q)]
-                codes.update(grown)
-    return frozenset(_decode(codes, q, h, w))
+    codes = _grow_codes([p for p in patterns if _in_alphabet(p.rows, q)], q, h, w)
+    return frozenset(decode_windows(codes, q, h, w))

@@ -10,7 +10,7 @@ System file::
     11
     10
 
-    # a pattern of size up to h x w, embedded into all containing windows
+    # a pattern of size up to h x w: every window containing it is forbidden
     pattern
     11
 
@@ -20,7 +20,8 @@ m lines of n symbol characters.
 
 from __future__ import annotations
 
-from .blocks import Alphabet, Block, ConstraintSystem, embed_forbidden
+from .blocks import Alphabet, Block, ConstraintSystem, decode_windows
+from .blocks import embed_forbidden  # noqa: F401  kept: perfbench/tracing.py looks the name up here
 
 
 class ParseError(ValueError):
@@ -30,29 +31,15 @@ class ParseError(ValueError):
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
+    stripped = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in stripped if line and not line.startswith("#")]
 
 
 def parse_system(text: str) -> ConstraintSystem:
     lines = _significant_lines(text)
     if not lines:
         raise ParseError(0, "empty file")
-    pos = 0
-
-    def take() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(lines[-1][0], "unexpected end of file")
-        item = lines[pos]
-        pos += 1
-        return item
-
-    lineno, line = take()
+    lineno, line = lines[0]
     parts = line.split()
     if len(parts) != 2 or parts[0] != "alphabet":
         raise ParseError(lineno, f"expected 'alphabet <tokens>', got {line!r}")
@@ -61,7 +48,9 @@ def parse_system(text: str) -> ConstraintSystem:
     except ValueError as e:
         raise ParseError(lineno, str(e)) from e
 
-    lineno, line = take()
+    if len(lines) < 2:
+        raise ParseError(lineno, "unexpected end of file")
+    lineno, line = lines[1]
     parts = line.split()
     if len(parts) != 3 or parts[0] != "size":
         raise ParseError(lineno, f"expected 'size <h> <w>', got {line!r}")
@@ -72,63 +61,52 @@ def parse_system(text: str) -> ConstraintSystem:
     if h < 1 or w < 1:
         raise ParseError(lineno, f"size must be positive, got {h} {w}")
 
-    def block_lines(limit: int | None) -> Block:
-        nonlocal pos
-        rows = []
-        while pos < len(lines) and (limit is None or len(rows) < limit):
-            lineno2, line2 = lines[pos]
-            if line2.split()[0] in ("forbid", "pattern"):
-                break
-            try:
-                rows.append(tuple(alphabet.index(c) for c in line2))
-            except ValueError as e:
-                raise ParseError(lineno2, str(e)) from e
-            pos += 1
-        if not rows:
-            raise ParseError(lines[pos - 1][0], "stanza has no block lines")
-        try:
-            return Block(tuple(rows))
-        except ValueError as e:
-            raise ParseError(lines[pos - 1][0], str(e)) from e
-
-    forbidden: set[Block] = set()
-    patterns: list[Block] = []
-    while pos < len(lines):
-        lineno, line = take()
-        if line == "forbid":
-            b = block_lines(h)
-            if (b.height, b.width) != (h, w):
-                raise ParseError(lineno, f"forbid stanza is {b.height}x{b.width}, expected {h}x{w}")
-            forbidden.add(b)
-        elif line == "pattern":
-            p = block_lines(None)
-            if p.height > h or p.width > w:
-                raise ParseError(lineno, f"pattern {p.height}x{p.width} exceeds window {h}x{w}")
-            patterns.append(p)
-        else:
+    stanzas: list[tuple[int, str, list[tuple[int, str]]]] = []  # keyword line, keyword, block lines
+    for lineno, line in lines[2:]:
+        if line in ("forbid", "pattern"):
+            stanzas.append((lineno, line, []))
+        elif not stanzas:
             raise ParseError(lineno, f"expected 'forbid' or 'pattern', got {line!r}")
-
-    if patterns:
-        forbidden |= embed_forbidden(alphabet, h, w, patterns)
+        else:
+            stanzas[-1][2].append((lineno, line))
+    forbidden = []
+    for lineno, kind, rows in stanzas:
+        if not rows:
+            raise ParseError(lineno, "stanza has no block lines")
+        b = _block(rows, alphabet)
+        if kind == "forbid" and (b.height, b.width) != (h, w):
+            raise ParseError(lineno, f"forbid stanza is {b.height}x{b.width}, expected {h}x{w}")
+        if b.height > h or b.width > w:
+            raise ParseError(lineno, f"pattern {b.height}x{b.width} exceeds window {h}x{w}")
+        forbidden.append(b)
     return ConstraintSystem(alphabet, h, w, forbidden)
 
 
 def format_system(cs: ConstraintSystem) -> str:
-    """Canonical writer: every forbidden window as a 'forbid' stanza, sorted."""
+    """Canonical writer: every forbidden window as a 'forbid' stanza, in code
+    order, which is canonical order."""
     out = [f"alphabet {cs.alphabet.symbols}", f"size {cs.h} {cs.w}"]
-    for f in sorted(cs.forbidden, key=lambda b: b.cells):
-        out.append("")
-        out.append("forbid")
-        out.extend(cs.alphabet.format_block(f))
+    for f in decode_windows(sorted(cs.forbidden_codes), cs.alphabet.size, cs.h, cs.w):
+        out += ["", "forbid", *cs.alphabet.format_block(f)]
     return "\n".join(out) + "\n"
 
 
+def _block(lines: list[tuple[int, str]], alphabet: Alphabet) -> Block:
+    """The block whose rows are the given numbered lines; ParseError on the
+    line of the first bad symbol or of the first row of another width."""
+    rows = []
+    for lineno, line in lines:
+        try:
+            rows.append(tuple(map(alphabet.index, line)))
+        except ValueError as e:
+            raise ParseError(lineno, str(e)) from e
+        if len(line) != len(lines[0][1]):
+            raise ParseError(lineno, f"row of width {len(line)} in a block of width {len(lines[0][1])}")
+    return Block(tuple(rows))
+
+
 def parse_block(text: str, alphabet: Alphabet) -> Block:
-    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line and not line.startswith("#")]
-    try:
-        return alphabet.parse_block(lines)
-    except ValueError as e:
-        raise ParseError(0, str(e)) from e
+    return _block(_significant_lines(text), alphabet)
 
 
 def format_block(b: Block, alphabet: Alphabet) -> str:

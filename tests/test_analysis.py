@@ -154,6 +154,9 @@ class TestCapacity:
             capacity_estimate(hs_graph, 1, 4)
         with pytest.raises(ValueError):
             capacity_estimate(hs_graph, 4, 2)
+        empty = build(ConstraintSystem(Alphabet("01"), 2, 2, all_blocks(2, 2, 2)))
+        with pytest.raises(ValueError, match="need max_m >= 2 and max_n >= 3, got 1x1"):
+            capacity_estimate(empty, 1, 1)
 
     def test_profile_budget_honoured(self, hs_graph):
         with pytest.raises(BudgetExceeded):

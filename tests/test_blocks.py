@@ -134,6 +134,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("01").index("2")
 
+    def test_index_takes_one_symbol(self):
+        assert Alphabet("01").index("1") == 1
+        for token in ("01", "", "10"):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                Alphabet("01").index(token)
+
 
 class TestConstraintSystem:
     def test_hard_square_allowed_count(self, hard_square):
@@ -154,8 +160,16 @@ class TestConstraintSystem:
         assert cs.size == 0
 
     def test_wrong_sized_forbidden(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="block 1x3 exceeds window 2x2"):
             ConstraintSystem(Alphabet("01"), 2, 2, [blk("111")])
+        with pytest.raises(ValueError, match="outside 0..1"):
+            ConstraintSystem(Alphabet("01"), 2, 2, [blk("2")])
+
+    def test_smaller_blocks_forbid_containing_windows(self, hard_square):
+        cs = ConstraintSystem(Alphabet("01"), 2, 2, [blk("11"), blk("1", "1")])
+        assert cs.forbidden_codes == hard_square.forbidden_codes
+        assert "forbidden" not in cs.__dict__  # decoded on first use
+        assert cs.forbidden == hard_square.forbidden and "forbidden" in cs.__dict__
 
     def test_identifier_bijection(self, hard_square):
         ks = [hard_square.identifier(b) for b in hard_square.allowed]

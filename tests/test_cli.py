@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from ftcs2d import presentation
+from ftcs2d import Alphabet, presentation
 from ftcs2d.cli import main
-from ftcs2d.fileformat import ParseError, format_system, parse_system
+from ftcs2d.fileformat import ParseError, format_system, parse_block, parse_system
+
+COLOURINGS = Path(__file__).resolve().parent.parent / "data" / "colourings3x3.txt"
 
 HARD_SQUARE = """\
 # no two adjacent 1s
@@ -20,6 +24,7 @@ pattern
 ALL_FORBIDDEN = (
     "alphabet 01\nsize 1 1\nforbid\n0\n\nforbid\n1\n"
 )
+ALL_FORBIDDEN_2X2 = "alphabet 01\nsize 2 2\npattern\n0\n\npattern\n1\n"
 
 
 @pytest.fixture
@@ -58,11 +63,28 @@ class TestFileFormat:
             with pytest.raises(ParseError):
                 parse_system(bad)
 
+    def test_parse_block_line_numbers(self):
+        for text, lineno in [("# c\n01\n\n0x\n", 4), ("01\n0\n", 2), ("2\n", 1)]:
+            with pytest.raises(ParseError, match=f"^line {lineno}: ") as e:
+                parse_block(text, Alphabet("01"))
+            assert e.value.lineno == lineno
+
+    def test_reading_decodes_no_forbidden_window(self):
+        cs = parse_system(COLOURINGS.read_text())
+        presentation.build(cs)
+        assert "forbidden" not in cs.__dict__
+        assert len(cs.forbidden_codes) == 3**9 - 246
+
 
 class TestBuild:
     def test_output(self, hs_file, capsys):
         assert main(["build", hs_file]) == 0
         assert capsys.readouterr().out == "|A_F|=7 blue=17 red=17 quads=63\n"
+
+    def test_colourings_file(self, capsys):
+        # 7812 is the number of proper 3-colourings of the 4x4 grid
+        assert main(["build", str(COLOURINGS)]) == 0
+        assert capsys.readouterr().out == "|A_F|=246 blue=1122 red=1122 quads=7812\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -179,6 +201,13 @@ class TestCapacity:
         p.write_text(ALL_FORBIDDEN)
         assert main(["capacity", str(p), "--max-rows", "3", "--max-cols", "3"]) == 0
         assert capsys.readouterr().out == "empty system\n"
+
+    def test_empty_system_below_window_size(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text(ALL_FORBIDDEN_2X2)
+        assert main(["capacity", str(p), "--max-rows", "1", "--max-cols", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need max_m >= 2 and max_n >= 3, got 1x1\n"
 
 
 class TestExportDot:

@@ -328,18 +328,29 @@ def test_allowed_in_canonical_order(cs):
 
 @st.composite
 def shape_and_patterns(draw):
-    """A window shape and up to three patterns no larger than the window, the
-    empty pattern included."""
+    """A window shape, up to three patterns no larger than the window, the
+    empty pattern included, up to eight full-size windows, and the nonempty
+    patterns and the windows as 'pattern' and 'forbid' stanzas in random order."""
     q, h, w = draw(st.sampled_from(WINDOW_SHAPES))
     patterns = [random_block(draw, q, h, w) for _ in range(draw(st.integers(0, 3)))]
-    return q, h, w, patterns
+    windows = [random_block(draw, q, h, w, h, w) for _ in range(draw(st.integers(0, 8)))]
+    stanzas = [("pattern", p) for p in patterns if not p.is_empty()] + [("forbid", f) for f in windows]
+    return q, h, w, patterns, windows, draw(st.permutations(stanzas))
 
 
 @scan_settings
 @given(case=shape_and_patterns())
 def test_embed_forbidden_matches_naive(case):
-    q, h, w, patterns = case
-    naive = frozenset(
-        b for b in all_blocks(q, h, w) if any(naive_contains(b, p) for p in patterns)
+    q, h, w, patterns, windows, stanzas = case
+    alphabet = Alphabet("abcd"[:q])
+
+    def naive(patterns):
+        return frozenset(b for b in all_blocks(q, h, w) if any(naive_contains(b, p) for p in patterns))
+
+    assert embed_forbidden(alphabet, h, w, patterns) == naive(patterns)
+    assert ConstraintSystem(alphabet, h, w, patterns).forbidden == naive(patterns)
+    assert ConstraintSystem(alphabet, h, w, windows).forbidden == frozenset(windows)
+    text = f"alphabet {alphabet.symbols}\nsize {h} {w}\n" + "".join(
+        "\n".join([kind, *alphabet.format_block(b), ""]) for kind, b in stanzas
     )
-    assert embed_forbidden(Alphabet("abcd"[:q]), h, w, patterns) == naive
+    assert parse_system(text).forbidden == naive([b for _, b in stanzas])
