@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -156,19 +156,27 @@ class Alphabet:
             raise ValueError(f"duplicate symbols in alphabet {self.symbols!r}")
         if any(c.isspace() for c in self.symbols):
             raise ValueError("alphabet symbols must be non-whitespace")
+        object.__setattr__(self, "_indices", {c: i for i, c in enumerate(self.symbols)})
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
     def index(self, token: str) -> int:
-        i = self.symbols.find(token)
-        if len(token) != 1 or i < 0:
+        i = self._indices.get(token)
+        if i is None:
             raise ValueError(f"symbol {token!r} not in alphabet {self.symbols!r}")
         return i
 
+    def parse_row(self, line: str) -> tuple[int, ...]:
+        """The indices of a line's symbols; ValueError on a symbol outside the alphabet."""
+        try:
+            return tuple(map(self._indices.__getitem__, line))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} not in alphabet {self.symbols!r}") from None
+
     def parse_block(self, lines: Iterable[str]) -> Block:
-        return Block(tuple(tuple(self.index(c) for c in line) for line in lines))
+        return Block(tuple(map(self.parse_row, lines)))
 
     def format_block(self, b: Block) -> list[str]:
         return ["".join(self.symbols[c] for c in r) for r in b.rows]
@@ -226,22 +234,39 @@ def _fit(blocks: Iterable[Block], h: int, w: int) -> list[Block]:
     return blocks
 
 
-def _grow_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> set[int]:
-    """Codes of the h x w windows that contain at least one of the blocks: each
-    placement fixes the digits of a block's cells, the free cells take every digit."""
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # the marks of _grow_codes, negated
+
+
+def _grow_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> bytearray:
+    """A byte per h x w window code, 1 where the window contains at least one of
+    the blocks: each placement fixes the digits of a block's cells, the free
+    cells take every digit.
+
+    Only the cells from a placement's first fixed cell to its last are grown.
+    The free cells after the last are the lowest digits, so each growth marks a
+    contiguous range of codes; the free cells before the first are the highest,
+    so that range repeats every q^(h*w - first) codes.
+    """
     weights = [q ** (h * w - 1 - k) for k in range(h * w)]  # of the cells, row-major
     shapes = defaultdict(set)  # the cells of the blocks of each shape, placed together
     for b in blocks:
         shapes[b.height, b.width].add(b.cells)
-    codes = set()
+    marks = bytearray(q ** (h * w))
     for (m, n), cells in shapes.items():
-        for top, left in product(range(h - m + 1), range(w - n + 1)):
+        # the empty block fixes no cell, so one of its placements covers them all
+        corners = product(range(h - m + 1), range(w - n + 1)) if m else [(0, 0)]
+        for top, left in corners:
             inside = [(top + i) * w + left + j for i in range(m) for j in range(n)]
+            first, last = (inside[0], inside[-1]) if inside else (0, -1)
             grown = [sum(map(mul, c, [weights[k] for k in inside])) for c in cells]
-            for k in set(range(h * w)).difference(inside):
+            for k in set(range(first, last)).difference(inside):
                 grown = [c + x * weights[k] for c in grown for x in range(q)]
-            codes.update(grown)
-    return codes
+            span, period = q ** (h * w - 1 - last), q ** (h * w - first)
+            ones = b"\x01" * span
+            for c in grown:
+                for low in range(c, len(marks), period):
+                    marks[low : low + span] = ones
+    return marks
 
 
 class ConstraintSystem:
@@ -264,8 +289,9 @@ class ConstraintSystem:
         blocks = _fit(forbidden, h, w)
         if not {x for b in blocks for r in b.rows for x in r} <= set(range(q)):
             raise ValueError(f"forbidden block uses a symbol outside 0..{q - 1}")
-        self.forbidden_codes = frozenset(_grow_codes(blocks, q, h, w))
-        allowed = [c for c in range(windows) if c not in self.forbidden_codes]
+        marks = _grow_codes(blocks, q, h, w)
+        self.forbidden_codes = frozenset(compress(range(windows), marks))
+        allowed = list(compress(range(windows), marks.translate(_FLIP)))
         self.allowed = tuple(decode_windows(allowed, q, h, w))
         self.code_to_id = dict(zip(allowed, range(1, len(allowed) + 1)))
 
@@ -336,5 +362,5 @@ def embed_forbidden(
         return frozenset()
     q = alphabet.size
     _window_space(q, h, w)
-    codes = _grow_codes([p for p in patterns if _in_alphabet(p.rows, q)], q, h, w)
-    return frozenset(decode_windows(codes, q, h, w))
+    marks = _grow_codes([p for p in patterns if _in_alphabet(p.rows, q)], q, h, w)
+    return frozenset(decode_windows(compress(range(len(marks)), marks), q, h, w))

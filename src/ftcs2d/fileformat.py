@@ -97,7 +97,7 @@ def _block(lines: list[tuple[int, str]], alphabet: Alphabet) -> Block:
     rows = []
     for lineno, line in lines:
         try:
-            rows.append(tuple(map(alphabet.index, line)))
+            rows.append(alphabet.parse_row(line))
         except ValueError as e:
             raise ParseError(lineno, str(e)) from e
         if len(line) != len(lines[0][1]):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
 from .presentation import Presentation, path_strips, walk
@@ -50,12 +50,20 @@ class GenerationPolicy:
 
 @dataclass
 class GenerationStats:
+    """Counters of a fill: ``steps`` counts identifiers placed, ``backtracks``
+    counts cells reached with no candidate."""
+
     steps: int = 0
     backtracks: int = 0
 
 
 class IdentifierGrid:
-    """Partial map from right-bottom window coordinates to vertex identifiers."""
+    """Partial map from right-bottom window coordinates to vertex identifiers.
+
+    The identifiers sit in ``ids``, one flat row-major list over the grid with
+    0 for an empty cell: cell (i, j) is at offset (i - h) * grid_cols + j - w,
+    so its upper neighbour is ``grid_cols`` before it and its left one 1 before.
+    """
 
     def __init__(self, system: ConstraintSystem, m: int, n: int):
         if m < system.h or n < system.w:
@@ -63,7 +71,7 @@ class IdentifierGrid:
         self.system = system
         self.m = m
         self.n = n
-        self.cells: dict[tuple[int, int], int] = {}
+        self.ids = [0] * (self.grid_rows * self.grid_cols)
 
     @property
     def grid_rows(self) -> int:
@@ -73,46 +81,61 @@ class IdentifierGrid:
     def grid_cols(self) -> int:
         return self.n - self.system.w + 1
 
-    def _check(self, i: int, j: int) -> None:
-        if not (self.system.h <= i <= self.m and self.system.w <= j <= self.n):
+    def _offset(self, i: int, j: int) -> int | None:
+        """The flat offset of cell (i, j), or None outside the grid."""
+        h, w = self.system.h, self.system.w
+        if h <= i <= self.m and w <= j <= self.n:
+            return (i - h) * self.grid_cols + j - w
+        return None
+
+    def _check(self, i: int, j: int) -> int:
+        p = self._offset(i, j)
+        if p is None:
             raise ValueError(f"cell ({i},{j}) outside identifier grid of {self.m}x{self.n} target")
+        return p
 
     def get(self, i: int, j: int) -> int | None:
-        self._check(i, j)
-        return self.cells.get((i, j))
+        return self.ids[self._check(i, j)] or None
 
     def set(self, i: int, j: int, k: int) -> None:
-        self._check(i, j)
+        p = self._check(i, j)
         self.system.block(k)  # range check
-        self.cells[(i, j)] = k
+        self.ids[p] = k
 
     def unset(self, i: int, j: int) -> None:
-        self.cells.pop((i, j), None)
+        p = self._offset(i, j)
+        if p is not None:
+            self.ids[p] = 0
 
     def filled(self, i: int, j: int) -> bool:
-        return (i, j) in self.cells
+        p = self._offset(i, j)
+        return p is not None and self.ids[p] != 0
 
     def complete(self) -> bool:
-        return len(self.cells) == self.grid_rows * self.grid_cols
+        return 0 not in self.ids
 
     def resize(self, m: int, n: int) -> None:
         """Grow the target size mid-process; filled cells stay valid because
         every constraint only references smaller coordinates."""
         if m < self.m or n < self.n:
             raise ValueError("identifier grids only grow")
-        self.m = m
-        self.n = n
+        was, cols = self.grid_cols, n - self.system.w + 1
+        ids = [0] * ((m - self.system.h + 1) * cols)
+        for r in range(self.grid_rows):
+            ids[r * cols : r * cols + was] = self.ids[r * was : (r + 1) * was]
+        self.m, self.n, self.ids = m, n, ids
 
     def to_block(self) -> Block:
         """Stitch window contents into the full block, checking overlap agreement."""
         if not self.complete():
             raise ValueError("grid is not completely filled")
-        cs = self.system
+        allowed, cols = self.system.allowed, self.grid_cols
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.m)]
-        for (i, j), k in self.cells.items():
-            for r, win_row in enumerate(cs.block(k).rows, i - cs.h):
+        for p, k in enumerate(self.ids):
+            top, left = divmod(p, cols)
+            for r, win_row in enumerate(allowed[k - 1].rows, top):
                 row = out[r]
-                for c, val in enumerate(win_row, j - cs.w):
+                for c, val in enumerate(win_row, left):
                     old = row[c]
                     if old is None:
                         row[c] = val
@@ -128,81 +151,89 @@ def case_of(i: int, j: int, h: int, w: int) -> int:
     return 1 if i == h or j == w else 2
 
 
+def _schedule_offsets(schedule: str, rows: int, cols: int) -> list[int]:
+    """The flat offsets of a rows x cols identifier grid in fill order."""
+    if schedule == ROW_MAJOR:
+        return [r * cols + c for r in range(rows) for c in range(cols)]
+    if schedule == COL_MAJOR:
+        return [r * cols + c for c in range(cols) for r in range(rows)]
+    if schedule == INTERLEAVED:
+        # column pairs, row-major inside each pair
+        return [
+            r * cols + c for c0 in range(0, cols, 2) for r in range(rows) for c in range(c0, min(c0 + 2, cols))
+        ]
+    raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
+
+
 def schedule_cells(schedule: str, m: int, n: int, h: int, w: int) -> list[tuple[int, int]]:
     """Fill order for the identifier grid; every order keeps each cell after
     its upper/left predecessors."""
-    rows = range(h, m + 1)
-    cols = range(w, n + 1)
-    if schedule == ROW_MAJOR:
-        return [(i, j) for i in rows for j in cols]
-    if schedule == COL_MAJOR:
-        return [(i, j) for j in cols for i in rows]
-    if schedule == INTERLEAVED:
-        # column pairs, row-major inside each pair
-        order = []
-        for j0 in range(w, n + 1, 2):
-            pair = [j for j in (j0, j0 + 1) if j <= n]
-            order.extend((i, j) for i in rows for j in pair)
-        return order
-    raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
+    cols = n - w + 1
+    return [(h + p // cols, w + p % cols) for p in _schedule_offsets(schedule, m - h + 1, cols)]
+
+
+def _candidates(g: Presentation, ids: list[int], p: int, cols: int) -> Sequence[int]:
+    """The identifiers that may occupy offset p of a flat grid whose
+    predecessors of p are filled: any vertex at the first cell, the red
+    successors of the left neighbour on the first row, the blue successors of
+    the upper one on the first column, and the completions of both inside."""
+    if p < cols:
+        return g.red.get(ids[p - 1], ()) if p else g.vertices
+    if p % cols:
+        return g.completions(ids[p - cols], ids[p - 1])
+    return g.blue.get(ids[p - cols], ())
 
 
 def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[int, ...]:
     """Identifiers that may occupy cell (i, j) given its filled predecessors."""
-    cs = g.system
-    h, w = cs.h, cs.w
-    grid._check(i, j)
-    if i == h and j == w:
-        return tuple(g.vertices)
-    if i == h:
-        left = grid.get(i, j - 1)
-        if left is None:
-            raise ValueError(f"predecessor ({i},{j - 1}) unfilled")
-        return g.red_out(left)
-    if j == w:
-        up = grid.get(i - 1, j)
-        if up is None:
-            raise ValueError(f"predecessor ({i - 1},{j}) unfilled")
-        return g.blue_out(up)
-    up, left = grid.get(i - 1, j), grid.get(i, j - 1)
-    if up is None or left is None:
-        raise ValueError(f"predecessors of ({i},{j}) unfilled")
-    return g.completions(up, left)
+    p, cols, ids = grid._check(i, j), grid.grid_cols, grid.ids
+    if (p >= cols and not ids[p - cols]) or (p % cols and not ids[p - 1]):
+        raise ValueError(f"a predecessor of ({i},{j}) is unfilled")
+    return tuple(_candidates(g, ids, p, cols))
 
 
 def _fillings(
     g: Presentation,
     grid: IdentifierGrid,
-    order: list[tuple[int, int]],
+    order: list[int],
     policy: GenerationPolicy,
     stats: GenerationStats | None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every way of filling the ``order`` cells, depth first; the grid holds
-    each filling while it is yielded."""
-    rng = random.Random(policy.seed)
+    """Every way of filling the grid offsets in ``order``, depth first; the
+    grid holds each filling while it is yielded."""
+    ids, cols = grid.ids, grid.grid_cols
+    shuffle = random.Random(policy.seed).shuffle if policy.chooser == "random" else None
 
-    def options(path: list[int]) -> list[int]:
-        if path:
-            grid.set(*order[len(path) - 1], path[-1])
-            if stats:
+    def options(path: list[int]) -> Sequence[int]:
+        t = len(path)
+        if t:
+            ids[order[t - 1]] = path[-1]
+            if stats is not None:
                 stats.steps += 1
-        i, j = order[len(path)]
-        cand = list(candidates(g, grid, i, j))
-        if policy.chooser == "random":
-            rng.shuffle(cand)
+        p = order[t]
+        cand = _candidates(g, ids, p, cols)
         if not cand:
             if not policy.backtracking:
-                raise DeadEnd(f"no candidates at cell ({i},{j})")
-            if stats:
+                raise DeadEnd(f"no candidates at cell ({p // cols + g.system.h},{p % cols + g.system.w})")
+            if stats is not None:
                 stats.backtracks += 1
+        elif shuffle and len(cand) > 1:  # shuffling fewer draws nothing from the stream
+            cand = list(cand)
+            shuffle(cand)
         return cand
 
     for path in walk(len(order), options):
         if path:
-            grid.set(*order[-1], path[-1])
-            if stats:
+            ids[order[-1]] = path[-1]
+            if stats is not None:
                 stats.steps += 1
         yield path
+
+
+def _empty_offsets(grid: IdentifierGrid, schedule: str) -> list[int]:
+    """The offsets of the grid's empty cells, in schedule order."""
+    ids = grid.ids
+    return [p for p in _schedule_offsets(schedule, grid.grid_rows, grid.grid_cols) if not ids[p]]
 
 
 def fill_grid(
@@ -216,13 +247,10 @@ def fill_grid(
     policy = policy or GenerationPolicy()
     if g.system.size == 0:
         raise NotRealizable("empty vertex set")
-    order = [
-        c for c in schedule_cells(policy.schedule, grid.m, grid.n, g.system.h, g.system.w)
-        if not grid.filled(*c)
-    ]
+    order = _empty_offsets(grid, policy.schedule)
     if next(_fillings(g, grid, order, policy, stats), None) is None:
-        for c in order:
-            grid.unset(*c)
+        for p in order:
+            grid.ids[p] = 0
         raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
 
 
@@ -248,7 +276,7 @@ def enumerate_blocks(
 ) -> Iterator[Block]:
     """Every m x n member, by exhaustive DFS in ascending-identifier order."""
     grid = IdentifierGrid(g.system, m, n)
-    order = schedule_cells(schedule, m, n, g.system.h, g.system.w)
+    order = _empty_offsets(grid, schedule)
     for _ in _fillings(g, grid, order, GenerationPolicy(schedule, chooser="ordered"), stats):
         yield grid.to_block()
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +125,8 @@ class TestAlphabet:
         a = Alphabet("abc")
         b = a.parse_block(["ab", "ca"])
         assert a.format_block(b) == ["ab", "ca"]
+        with pytest.raises(ValueError, match="symbol 'd' not in alphabet"):
+            a.parse_block(["ab", "cd"])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +174,27 @@ class TestConstraintSystem:
         assert cs.forbidden_codes == hard_square.forbidden_codes
         assert "forbidden" not in cs.__dict__  # decoded on first use
         assert cs.forbidden == hard_square.forbidden and "forbidden" in cs.__dict__
+
+    def test_one_cell_block_in_a_large_window(self):
+        # 20 placements of 2^19 windows each; only the window of all ones is left
+        cs = ConstraintSystem(Alphabet("01"), 4, 5, [blk("0")])
+        assert cs.size == 1 and cs.allowed == (Block(((1,) * 5,) * 4),)
+
+    def test_free_cells_around_a_placement(self):
+        # patterns narrower than the window leave free cells between their rows
+        # and, placed right of the first column, before their first cell
+        for (h, w), p in [((2, 2), blk("1", "1")), ((3, 3), blk("10", "01")), ((3, 2), blk("1", "0", "1"))]:
+            def contains(b):
+                corners = product(range(1, h - p.height + 2), range(1, w - p.width + 2))
+                return any(b.subblock(i, j, p.height, p.width) == p for i, j in corners)
+
+            expected = {b for b in all_blocks(2, h, w) if contains(b)}
+            assert ConstraintSystem(Alphabet("01"), h, w, [p]).forbidden == expected
+
+    def test_empty_block_forbids_every_window(self):
+        cs = ConstraintSystem(Alphabet("01"), 4, 5, [EMPTY])
+        assert cs.size == 0 and cs.forbidden_codes == frozenset(range(1 << 20))
+        assert embed_forbidden(Alphabet("abc"), 2, 2, [EMPTY]) == frozenset(all_blocks(3, 2, 2))
 
     def test_identifier_bijection(self, hard_square):
         ks = [hard_square.identifier(b) for b in hard_square.allowed]

@@ -24,10 +24,12 @@ from ftcs2d import (
     is_generated,
     row_presentation,
 )
+from ftcs2d.blocks import decode_windows
 from ftcs2d.generation import (
     COL_MAJOR,
     INTERLEAVED,
     ROW_MAJOR,
+    SCHEDULES,
     case_of,
     enumerate_col_strips,
     enumerate_row_strips,
@@ -38,6 +40,23 @@ from ftcs2d.generation import (
 
 def all_zero_id(cs):
     return cs.identifier(Block(((0,) * cs.w,) * cs.h))
+
+
+def backtracking_system():
+    """A binary 2x2 system of 8 windows on which the seeded random fill backtracks."""
+    return ConstraintSystem(Alphabet("01"), 2, 2, decode_windows([2, 4, 5, 8, 11, 12, 13, 15], 2, 2, 2))
+
+
+# generate_block(hs_graph, 6, 9, GenerationPolicy(schedule, "random", seed)), as
+# text; the seeded stream is part of the contract, so these never change
+HS_SEEDED = {
+    (ROW_MAJOR, 0): ["010010000", "100001010", "010010100", "001000000", "010000101", "100100000"],
+    (ROW_MAJOR, 1): ["010000100", "000010001", "000101000", "010010100", "100101000", "010000101"],
+    (COL_MAJOR, 0): ["010001001", "100010010", "001000000", "000100010", "101000100", "010001001"],
+    (COL_MAJOR, 1): ["010101000", "001010010", "000001000", "000000101", "010101010", "000010000"],
+    (INTERLEAVED, 0): ["010000000", "100010100", "000000010", "101010001", "000100100", "010000010"],
+    (INTERLEAVED, 1): ["010000101", "000101010", "001000100", "100100001", "010010100", "000000001"],
+}
 
 
 class TestSchedules:
@@ -222,19 +241,62 @@ class TestGenerateBlock:
         assert hard_square.is_member(b)
 
     def test_grow_mid_process(self, hard_square, hs_graph):
-        grid = IdentifierGrid(hard_square, 3, 3)
-        fill_grid(hs_graph, grid, GenerationPolicy(seed=5))
-        partial = grid.to_block()
-        grid.resize(3, 6)
-        fill_grid(hs_graph, grid, GenerationPolicy(seed=6))
-        full = grid.to_block()
-        assert full.subblock(1, 1, 3, 3) == partial
-        assert hard_square.is_member(full)
+        for m, n in [(3, 6), (5, 6)]:  # more columns; more rows and columns
+            grid = IdentifierGrid(hard_square, 3, 3)
+            fill_grid(hs_graph, grid, GenerationPolicy(seed=5))
+            partial = grid.to_block()
+            grid.resize(m, n)
+            fill_grid(hs_graph, grid, GenerationPolicy(seed=6))
+            full = grid.to_block()
+            assert (full.height, full.width) == (m, n)
+            assert full.subblock(1, 1, 3, 3) == partial
+            assert hard_square.is_member(full)
+
+    def test_unrealizable_keeps_prefilled_cells(self, hard_square, hs_graph):
+        # cell (2, 2) of the target is 1 in the first window and cell (3, 2) is 1
+        # in the window at (4, 2): no hard-square block joins them
+        first = hard_square.identifier(Block(((0, 0), (0, 1))))
+        low = hard_square.identifier(Block(((0, 1), (0, 0))))
+        grid = IdentifierGrid(hard_square, 4, 3)
+        grid.set(2, 2, first)
+        grid.set(4, 2, low)
+        stats = GenerationStats()
+        with pytest.raises(NotRealizable):
+            fill_grid(hs_graph, grid, GenerationPolicy(chooser="ordered"), stats)
+        assert stats.steps > 0  # cells were placed, then cleared
+        assert (grid.get(2, 2), grid.get(4, 2)) == (first, low)
+        assert [c for c in schedule_cells(ROW_MAJOR, 4, 3, 2, 2) if grid.filled(*c)] == [(2, 2), (4, 2)]
 
     def test_resize_shrink_rejected(self, hard_square):
         grid = IdentifierGrid(hard_square, 3, 3)
         with pytest.raises(ValueError):
             grid.resize(2, 3)
+
+
+class TestSeededStream:
+    def test_hard_square_6x9(self, hard_square, hs_graph):
+        for sched in SCHEDULES:
+            for seed in (0, 1):
+                got = generate_block(hs_graph, 6, 9, GenerationPolicy(sched, "random", seed=seed))
+                assert hard_square.alphabet.format_block(got) == HS_SEEDED[sched, seed]
+                ordered = generate_block(hs_graph, 6, 9, GenerationPolicy(sched, "ordered", seed=seed))
+                assert ordered == Block(((0,) * 9,) * 6)
+
+    def test_backtracking_system(self):
+        cs = backtracking_system()
+        g = build(cs)
+        expected = {
+            ("random", 0): (70, 19, ["010001", "110010", "101101", "011010"]),
+            ("random", 1): (16, 1, ["010010", "101101", "011010", "110110"]),
+            ("ordered", 0): (15, 0, ["000000"] * 4),
+        }
+        for (chooser, seed), (steps, backtracks, rows) in expected.items():
+            stats = GenerationStats()
+            b = generate_block(g, 4, 6, GenerationPolicy(chooser=chooser, seed=seed), stats)
+            assert (stats.steps, stats.backtracks, cs.alphabet.format_block(b)) == (steps, backtracks, rows)
+        stats = GenerationStats()
+        assert len(list(enumerate_blocks(g, 4, 6, stats=stats))) == 272
+        assert (stats.steps, stats.backtracks) == (3202, 777)
 
 
 class TestExhaustiveEnumeration:
@@ -295,6 +357,14 @@ class TestReconstruction:
         fill_grid(hs_graph, grid, GenerationPolicy(seed=11))
         b = grid.to_block()  # raises on any overlap disagreement
         assert hard_square.is_member(b)
+
+    def test_overlap_disagreement(self, hard_square):
+        # the windows share the target's column 2: 0 over 0 in the first, 1 over 0 in the second
+        grid = IdentifierGrid(hard_square, 2, 3)
+        grid.set(2, 2, all_zero_id(hard_square))
+        grid.set(2, 3, hard_square.identifier(Block(((1, 0), (0, 0)))))
+        with pytest.raises(AssertionError, match="overlap disagreement at \\(1, 2\\)"):
+            grid.to_block()
 
     def test_incomplete_grid_rejected(self, hard_square):
         grid = IdentifierGrid(hard_square, 3, 3)
