@@ -20,8 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, product
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 WINDOW_BUDGET = 1 << 20  # codes in the window space of a system or an embedding
 
@@ -44,6 +44,13 @@ class Block:
         if not rows or widths == {0}:
             rows = ()  # canonical empty block
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def stitched(cls, rows: tuple[tuple[int, ...], ...]) -> "Block":
+        """A block of rows stitched from windows: a nonempty tuple of equal-width tuples, not checked again."""
+        block = object.__new__(cls)
+        object.__setattr__(block, "rows", rows)
+        return block
 
     @property
     def height(self) -> int:
@@ -269,6 +276,31 @@ def _grow_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> bytearray:
     return marks
 
 
+class Overlaps(NamedTuple):
+    """The parts of each allowed window that stitching compares or appends,
+    one list per part indexed by identifier (index 0 is a dummy, None)."""
+
+    rows: list  # the whole window, as a tuple of rows
+    top: list  # the first h-1 rows
+    bottom: list  # the last h-1 rows
+    left: list  # the first w-1 columns, as a tuple of columns
+    right: list  # the last w-1 columns
+    blue: list  # the last row: the label of every blue edge into the window
+    red: list  # the last column: the label of every red edge into the window
+    corner: list  # the bottom-right symbol
+
+    def blue_strip(self, path: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The rows a blue path spells: its head's rows, then the blue labels."""
+        return self.rows[path[0]] + tuple(map(self.blue.__getitem__, path[1:]))
+
+    def red_strip(self, path: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The rows a red path spells: each of its head's rows, extended by its
+        row of the red labels (the head alone for a path of one window)."""
+        if len(path) == 1:
+            return self.rows[path[0]]
+        return tuple(map(add, self.rows[path[0]], zip(*map(self.red.__getitem__, path[1:]))))
+
+
 class ConstraintSystem:
     """Window size (h, w), forbidden set F, and the derived allowed set.
 
@@ -299,6 +331,13 @@ class ConstraintSystem:
     def forbidden(self) -> frozenset[Block]:
         """The forbidden h x w windows as blocks."""
         return frozenset(decode_windows(self.forbidden_codes, self.alphabet.size, self.h, self.w))
+
+    @cached_property
+    def overlaps(self) -> Overlaps:
+        """The overlaps and edge labels of every allowed window; built on first use."""
+        windows = ((b.rows, tuple(zip(*b.rows))) for b in self.allowed)
+        parts = [(r, r[:-1], r[1:], c[:-1], c[1:], r[-1], c[-1], r[-1][-1]) for r, c in windows]
+        return Overlaps(*map(list, zip((None,) * len(Overlaps._fields), *parts)))
 
     def window_codes(self, b: Block) -> Iterator[Sequence[int]]:
         """Codes of b's h x w windows, one row at a time; ValueError for a symbol

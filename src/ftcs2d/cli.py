@@ -65,7 +65,7 @@ def cmd_count(args) -> int:
             profile = None
         if profile is not None and profile != count:
             print(f"MISMATCH oracle={count} profile={profile}", file=sys.stderr)
-            return 1
+            return 5
     else:
         count = analysis.count_by_profile(presentation.build(cs), args.rows, args.cols)
     print(count)

@@ -126,24 +126,28 @@ class IdentifierGrid:
         self.m, self.n, self.ids = m, n, ids
 
     def to_block(self) -> Block:
-        """Stitch window contents into the full block, checking overlap agreement."""
+        """Stitch the block from edge labels, checking overlap agreement.
+
+        Adjacent windows must agree on their overlaps (right against left, bottom
+        against top), which is agreement on every cell, as the windows that cover
+        a cell form an adjacency-connected rectangle.  The first grid row spells
+        the top h rows as a red path; each later one adds its first window's blue
+        label, then the bottom-right symbols of the others."""
         if not self.complete():
             raise ValueError("grid is not completely filled")
-        allowed, cols = self.system.allowed, self.grid_cols
-        out: list[list[int | None]] = [[None] * self.n for _ in range(self.m)]
-        for p, k in enumerate(self.ids):
-            top, left = divmod(p, cols)
-            for r, win_row in enumerate(allowed[k - 1].rows, top):
-                row = out[r]
-                for c, val in enumerate(win_row, left):
-                    old = row[c]
-                    if old is None:
-                        row[c] = val
-                    elif old != val:
-                        raise AssertionError(
-                            f"overlap disagreement at {(r + 1, c + 1)}: {old} vs {val}"
-                        )
-        return Block(tuple(map(tuple, out)))
+        t, ids, cols = self.system.overlaps, self.ids, self.grid_cols
+        right, left = list(map(t.right.__getitem__, ids)), list(map(t.left.__getitem__, ids))
+        del right[cols - 1 :: cols], left[::cols]  # the pairs that straddle a grid row's end
+        if right != left or list(map(t.bottom.__getitem__, ids[:-cols])) != list(map(t.top.__getitem__, ids[cols:])):
+            seen: dict[tuple[int, int], int] = {}  # name the first cell two windows disagree on
+            for p, k in enumerate(ids):
+                for r, win_row in enumerate(self.system.block(k).rows, p // cols + 1):
+                    for c, val in enumerate(win_row, p % cols + 1):
+                        if seen.setdefault((r, c), val) != val:
+                            raise AssertionError(f"overlap disagreement at {(r, c)}: {seen[r, c]} vs {val}")
+        corner = t.corner.__getitem__
+        later = [t.blue[ids[p]] + tuple(map(corner, ids[p + 1 : p + cols])) for p in range(cols, len(ids), cols)]
+        return Block.stitched(t.red_strip(ids[:cols]) + tuple(later))
 
 
 def case_of(i: int, j: int, h: int, w: int) -> int:
@@ -284,49 +288,31 @@ def enumerate_blocks(
 # -- strip generation (single presentation, one axis) -------------------------
 
 
-def _first_strip(g: Presentation, head: int, windows: int, rng: random.Random | None, blue: bool) -> Block:
-    strip = next(path_strips(g, [head], windows, rng, blue=blue), None)
+def _first_strip(g: Presentation, head: int, size: int, rng: random.Random | None, blue: bool) -> Block:
+    strip = next(path_strips(g, [head], size, rng, blue=blue), None)
     if strip is None:
         raise DeadEnd(f"no strip of required length from head {head}")
     return strip
 
 
-def generate_row_strip(
-    gr: Presentation, head: int, m: int, rng: random.Random | None = None
-) -> Block:
+def generate_row_strip(gr: Presentation, head: int, m: int, rng: random.Random | None = None) -> Block:
     """An m x w block generated by a blue path starting at block(head)."""
-    cs = gr.system
-    if m < cs.h:
-        raise ValueError(f"strip height {m} below window height {cs.h}")
-    return _first_strip(gr, head, m - cs.h + 1, rng, blue=True)
+    return _first_strip(gr, head, m, rng, blue=True)
 
 
-def generate_col_strip(
-    gc: Presentation, head: int, n: int, rng: random.Random | None = None
-) -> Block:
+def generate_col_strip(gc: Presentation, head: int, n: int, rng: random.Random | None = None) -> Block:
     """An h x n block generated by a red path starting at block(head)."""
-    cs = gc.system
-    if n < cs.w:
-        raise ValueError(f"strip width {n} below window width {cs.w}")
-    return _first_strip(gc, head, n - cs.w + 1, rng, blue=False)
+    return _first_strip(gc, head, n, rng, blue=False)
 
 
 def enumerate_row_strips(gr: Presentation, m: int, head: int | None = None) -> Iterator[Block]:
     """All m x w blocks generated by blue paths (optionally from one head)."""
-    cs = gr.system
-    if m < cs.h:
-        raise ValueError(f"strip height {m} below window height {cs.h}")
-    heads = [head] if head is not None else gr.vertices
-    yield from path_strips(gr, heads, m - cs.h + 1, blue=True)
+    yield from path_strips(gr, [head] if head is not None else gr.vertices, m, blue=True)
 
 
 def enumerate_col_strips(gc: Presentation, n: int, head: int | None = None) -> Iterator[Block]:
     """All h x n blocks generated by red paths (optionally from one head)."""
-    cs = gc.system
-    if n < cs.w:
-        raise ValueError(f"strip width {n} below window width {cs.w}")
-    heads = [head] if head is not None else gc.vertices
-    yield from path_strips(gc, heads, n - cs.w + 1, blue=False)
+    yield from path_strips(gc, [head] if head is not None else gc.vertices, n, blue=False)
 
 
 def is_generated(g: Presentation, b: Block) -> bool:

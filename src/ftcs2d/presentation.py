@@ -18,7 +18,6 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
@@ -91,13 +90,13 @@ class Presentation:
         """Label of blue edge u -> v: the h-th row of block(v), as a 1 x w block."""
         if not self.has_blue(u, v):
             raise ValueError(f"no blue edge {u} -> {v}")
-        return self.system.block(v).row_block(self.system.h)
+        return Block((self.system.overlaps.blue[v],))
 
     def red_label(self, u: int, v: int) -> Block:
         """Label of red edge u -> v: the w-th column of block(v), as an h x 1 block."""
         if not self.has_red(u, v):
             raise ValueError(f"no red edge {u} -> {v}")
-        return self.system.block(v).col_block(self.system.w)
+        return Block(tuple(zip(self.system.overlaps.red[v])))
 
     def _closing(self, b: int, c: int) -> tuple[int, ...]:
         return tuple(d for d in self.red_out(c) if b in self.blue_in[d])
@@ -118,29 +117,23 @@ class Presentation:
         return quadruples(self)
 
 
-def _successors_by_overlap(cs: ConstraintSystem, drop_first, drop_last) -> dict[int, tuple[int, ...]]:
-    # bucket targets by their leading overlap; source matches via its trailing overlap
-    by_prefix: dict[Block, list[int]] = defaultdict(list)
-    for v in range(1, cs.size + 1):
-        by_prefix[drop_last(cs.block(v))].append(v)
-    out = {}
-    for u in range(1, cs.size + 1):
-        succ = by_prefix.get(drop_first(cs.block(u)), ())
-        if succ:
-            out[u] = tuple(succ)
-    return out
+def _successors_by_overlap(leading: list, trailing: list) -> dict[int, tuple[int, ...]]:
+    # bucket targets by their leading overlap; a source matches via its trailing overlap
+    by_leading: dict[tuple, list[int]] = defaultdict(list)
+    for v in range(1, len(leading)):
+        by_leading[leading[v]].append(v)
+    succ = {k: tuple(vs) for k, vs in by_leading.items()}
+    return {u: vs for u, vs in enumerate(map(succ.get, trailing[1:]), 1) if vs}
 
 
 def row_presentation(cs: ConstraintSystem) -> Presentation:
     """Blue edges only: u -> v iff the last h-1 rows of u equal the first h-1 rows of v."""
-    blue = _successors_by_overlap(cs, Block.suffix_row, Block.prefix_row)
-    return Presentation(cs, blue, {})
+    return Presentation(cs, _successors_by_overlap(cs.overlaps.top, cs.overlaps.bottom), {})
 
 
 def column_presentation(cs: ConstraintSystem) -> Presentation:
     """Red edges only: u -> v iff the last w-1 columns of u equal the first w-1 columns of v."""
-    red = _successors_by_overlap(cs, Block.suffix_col, Block.prefix_col)
-    return Presentation(cs, {}, red)
+    return Presentation(cs, {}, _successors_by_overlap(cs.overlaps.left, cs.overlaps.right))
 
 
 def combined(gr: Presentation, gc: Presentation) -> Presentation:
@@ -207,10 +200,7 @@ class ClassView:
 
     def strips(self, n: int) -> Iterator[Block]:
         """All h x n blocks generated by red paths starting at the head."""
-        cs = self.presentation.system
-        if n < cs.w:
-            raise ValueError(f"strip width {n} below window width {cs.w}")
-        yield from path_strips(self.presentation, [self.head], n - cs.w + 1, blue=False)
+        yield from path_strips(self.presentation, [self.head], n, blue=False)
 
 
 def class_view(gc: Presentation, k: int) -> ClassView:
@@ -251,18 +241,20 @@ def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator
 
 
 def path_strips(
-    g: Presentation, heads: Sequence[int], windows: int, rng: random.Random | None = None, *, blue: bool
+    g: Presentation, heads: Sequence[int], size: int, rng: random.Random | None = None, *, blue: bool
 ) -> Iterator[Block]:
-    """Blocks spelled by the paths of ``windows`` vertices starting at a head.
-
-    ``blue`` paths stack rows (an m x w strip); red paths append columns (an
-    h x n strip).  With ``rng`` the successors of each vertex are shuffled
-    before they are tried.
+    """Every strip spelled by a path from a head: its head window, then the
+    label of each later window (see ``Overlaps``).  A ``blue`` path spells an
+    m x w strip (``size`` is m), a red one an h x n strip (``size`` is n).
+    With ``rng`` the successors of each vertex are shuffled before they are tried.
     """
-    allowed = g.system.allowed
+    cs, t = g.system, g.system.overlaps
+    side, window = ("height", cs.h) if blue else ("width", cs.w)
+    out, spell = (g.blue_out, t.blue_strip) if blue else (g.red_out, t.red_strip)
+    if size < window:
+        raise ValueError(f"strip {side} {size} below window {side} {window}")
     for u in heads:
-        g.system.block(u)  # range check
-    out = g.blue_out if blue else g.red_out
+        cs.block(u)  # range check
 
     def options(path: list[int]) -> Sequence[int]:
         if not path:
@@ -273,10 +265,5 @@ def path_strips(
         rng.shuffle(succ)
         return succ
 
-    last = itemgetter(-1)
-    for path in walk(windows, options):
-        wins = [allowed[v - 1].rows for v in path]
-        if blue:  # the head's rows, then the last row of each later window
-            yield Block(wins[0] + tuple(map(last, wins[1:])))
-        else:  # row by row: the head's row, then that row's last cell in each later window
-            yield Block(tuple(r[0] + tuple(map(last, r[1:])) for r in zip(*wins)))
+    for path in walk(size - window + 1, options):
+        yield Block.stitched(spell(path))

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ftcs2d import Alphabet, presentation
+from ftcs2d import Alphabet, analysis, presentation
 from ftcs2d.cli import main
 from ftcs2d.fileformat import ParseError, format_system, parse_block, parse_system
 
@@ -171,6 +171,13 @@ class TestCount:
     def test_oracle_cross_check(self, hs_file, capsys):
         assert main(["count", hs_file, "--rows", "3", "--cols", "5", "--oracle"]) == 0
         assert capsys.readouterr().out == "827\n"
+
+    def test_oracle_mismatch_is_an_internal_fault(self, hs_file, capsys, monkeypatch):
+        # a disagreement must not exit 1, which means "nonmember"
+        monkeypatch.setattr(analysis, "count_by_profile", lambda g, m, n: 828)
+        assert main(["count", hs_file, "--rows", "3", "--cols", "5", "--oracle"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "MISMATCH oracle=827 profile=828\n"
 
     def test_budget_exceeded_exit_code(self, hs_file, capsys):
         # rows of 39 identifiers: far more row states than the default budget

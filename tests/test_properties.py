@@ -15,6 +15,7 @@ from ftcs2d import (
     Block,
     ConstraintSystem,
     GenerationPolicy,
+    IdentifierGrid,
     NotRealizable,
     Presentation,
     all_blocks,
@@ -33,7 +34,7 @@ from ftcs2d import (
     row_presentation,
 )
 from ftcs2d.fileformat import format_system, parse_system
-from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips
+from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips, fill_grid
 
 MAX_CANDIDATES = 4096  # q ** (m * n) for the oracle's scan, to keep the suite fast
 
@@ -354,3 +355,127 @@ def test_embed_forbidden_matches_naive(case):
         "\n".join([kind, *alphabet.format_block(b), ""]) for kind, b in stanzas
     )
     assert parse_system(text).forbidden == naive([b for _, b in stanzas])
+
+
+# -- blocks stitched from edge labels against window-by-window references -----
+
+
+def reference_stitch(grid):
+    """The block of a complete grid, written one window cell at a time; an
+    AssertionError names the first cell an earlier window gave another symbol."""
+    h, w, cols = grid.system.h, grid.system.w, grid.grid_cols
+    out = [[None] * grid.n for _ in range(grid.m)]
+    for p, k in enumerate(grid.ids):
+        win = grid.system.block(k)
+        for i, j in product(range(h), range(w)):
+            r, c = p // cols + i, p % cols + j
+            if out[r][c] is not None and out[r][c] != win.rows[i][j]:
+                raise AssertionError(f"overlap disagreement at {(r + 1, c + 1)}: {out[r][c]} vs {win.rows[i][j]}")
+            out[r][c] = win.rows[i][j]
+    return Block(out)
+
+
+def stitch_outcome(stitch, grid):
+    try:
+        return stitch(grid)
+    except AssertionError as e:
+        return str(e)
+
+
+def reference_strips(g, heads, windows, blue):
+    """The strips of every path of ``windows`` vertices from a head, in depth-first
+    ascending order, each stitched window by window: a blue path adds each later
+    window's last row, a red path each later window's last column."""
+    paths = [(k,) for k in heads]
+    for _ in range(windows - 1):
+        paths = [(*p, v) for p in paths for v in (g.blue_out if blue else g.red_out)(p[-1])]
+    for path in paths:
+        wins = [g.system.block(k).rows for k in path]
+        if blue:
+            yield Block(wins[0] + tuple(win[-1] for win in wins[1:]))
+        else:
+            yield Block(tuple(r[0] + tuple(row[-1] for row in r[1:]) for r in zip(*wins)))
+
+
+# one-row and one-column identifier grids included: 1..3 grid rows and columns
+grid_sides = st.integers(1, 3)
+
+
+@scan_settings
+@given(cs=window_systems(), rows=grid_sides, cols=grid_sides, seed=st.integers(0, 2**32 - 1))
+@example(cs=ROW_WINDOW, rows=1, cols=3, seed=0)
+@example(cs=COL_WINDOW, rows=3, cols=1, seed=0)
+@example(cs=FREE, rows=3, cols=1, seed=0)
+@example(cs=FREE, rows=1, cols=1, seed=0)
+def test_to_block_matches_reference_stitch(cs, rows, cols, seed):
+    """On filled grids, and on grids of random identifiers, where the windows may
+    disagree: the same block, or the same AssertionError text."""
+    assume(cs.size > 0)
+    g = build(cs)
+    grid = IdentifierGrid(cs, cs.h + rows - 1, cs.w + cols - 1)
+    try:
+        fill_grid(g, grid, GenerationPolicy(seed=seed))
+    except NotRealizable:
+        pass
+    else:
+        assert grid.to_block() == reference_stitch(grid)
+    rng = random.Random(seed)
+    grid.ids = [rng.randint(1, cs.size) for _ in grid.ids]
+    assert stitch_outcome(IdentifierGrid.to_block, grid) == stitch_outcome(reference_stitch, grid)
+
+
+@scan_settings
+@given(cs=window_systems(), data=st.data())
+def test_to_block_names_the_first_disagreement(cs, data):
+    """A member with one window swapped for another allowed window: a grid that
+    disagrees in one place, above, below, left or right of the swapped window."""
+    assume(cs.size > 1)
+    rows, cols = data.draw(grid_sides), data.draw(grid_sides)
+    grid = IdentifierGrid(cs, cs.h + rows - 1, cs.w + cols - 1)
+    try:
+        fill_grid(build(cs), grid, GenerationPolicy(seed=data.draw(st.integers(0, 99))))
+    except NotRealizable:
+        assume(False)
+    p = data.draw(st.integers(0, len(grid.ids) - 1))
+    grid.ids[p] = data.draw(st.integers(1, cs.size).filter(lambda k: k != grid.ids[p]))
+    assert stitch_outcome(IdentifierGrid.to_block, grid) == stitch_outcome(reference_stitch, grid)
+
+
+@walker_settings
+@given(cs=window_systems(), m_extra=st.integers(0, 2), n_extra=st.integers(0, 2))
+@example(cs=FREE, m_extra=0, n_extra=0)
+@example(cs=ROW_WINDOW, m_extra=0, n_extra=2)
+@example(cs=COL_WINDOW, m_extra=2, n_extra=0)
+def test_strips_match_reference_stitch(cs, m_extra, n_extra):
+    """Strips of exactly one window included (an extra of 0)."""
+    assume(cs.size <= 64)
+    g = build(cs)
+    m, n = cs.h + m_extra, cs.w + n_extra
+    assert list(enumerate_row_strips(g, m)) == list(reference_strips(g, g.vertices, m_extra + 1, blue=True))
+    assert list(enumerate_col_strips(g, n)) == list(reference_strips(g, g.vertices, n_extra + 1, blue=False))
+    for k in g.vertices:
+        assert list(class_view(g, k).strips(n)) == list(reference_strips(g, [k], n_extra + 1, blue=False))
+
+
+@scan_settings
+@given(cs=window_systems())
+def test_edges_and_labels_match_block_overlaps(cs):
+    """The edges against overlaps cut from Blocks, and the labels against the
+    target window's last row and column; a missing edge has no label."""
+    assume(cs.size <= 64)
+    g, h, w = build(cs), cs.h, cs.w
+    cases = (
+        ("blue", Block.suffix_row, Block.prefix_row, lambda b: b.row_block(h)),
+        ("red", Block.suffix_col, Block.prefix_col, lambda b: b.col_block(w)),
+    )
+    for colour, drop_first, drop_last, last in cases:
+        trailing, leading = ([None, *map(drop, cs.allowed)] for drop in (drop_first, drop_last))
+        edges = {u: tuple(v for v in g.vertices if trailing[u] == leading[v]) for u in g.vertices}
+        assert getattr(g, colour) == {u: vs for u, vs in edges.items() if vs}
+        label = getattr(g, f"{colour}_label")
+        for u, vs in edges.items():
+            assert [label(u, v) for v in vs] == [last(cs.block(v)) for v in vs]
+            missing = next((v for v in g.vertices if v not in vs), None)
+            if missing is not None:
+                with pytest.raises(ValueError, match=f"no {colour} edge {u} -> {missing}"):
+                    label(u, missing)
