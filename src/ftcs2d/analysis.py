@@ -22,10 +22,10 @@ condition.  Grids biject with member blocks, so the totals are member counts.
   the entries it reads, and on each only through the successors kept.  So
   the partial grids merged into one state have the same completions, one for
   one, and adding their counts changes no total.
-* Wrapped columns.  The last cell of a column also needs a blue edge back to
-  the first (for m = 1, a blue self-loop), so the sweep holds the first cell
-  whole until it places the last, and checks the edge there.  Line k totals
-  the height-m strips of width w + k - 1 with vertical wraparound.
+* Wrapped columns.  The last cell d of a column needs a blue edge d -> f to
+  its first cell f, held whole until then: d's bottom overlap is f's top one
+  (for m = 1, a blue self-loop, read from ``blue_pairs``).  Line k totals the
+  height-m strips of width w + k - 1 with vertical wraparound.
 * Budget.  The live states times the line length may not exceed the budget
   after any cell is placed.  The check runs as states are built, and
   ``BudgetExceeded`` names the operator and gives the live states.
@@ -74,7 +74,8 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
     """
     layer = f"wrapped column operator of height {length}" if wrapped else f"row operator of width {length}"
     cap = budget // length  # live states allowed
-    completions, blue, red, blue_in = g.completions, g.blue.get, g.red.get, g.blue_in
+    completions, blue, red = g.completions, g.blue.get, g.red.get
+    bottom, top = g.system.overlaps.bottom, g.system.overlaps.top
     # rows: p above and b on the left; wrapped columns: p on the left and b above
     rep, lead, back = (g.red_class, red, blue) if wrapped else (g.blue_class, blue, red)
 
@@ -90,7 +91,7 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
     def first(k: int) -> list[int]:  # reads p; 0 is the wildcard line
         ds = lead(k, ()) if k else every
         if length == 1:  # also the last cell
-            return [rep[d] - k for d in ds if not wrapped or d in blue_in[d]]  # a blue self-loop
+            return [rep[d] - k for d in ds if not wrapped or (d, d) in g.blue_pairs]  # a blue self-loop
         return [d + (d << length * bits if wrapped else 0) - k for d in ds]  # wrapped: and hold d
 
     def inner(k: int) -> list[int]:  # reads b, p
@@ -102,8 +103,8 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
         return [rep[b] - k + (rep[d] << bits) for d in fits(k >> bits, b)]
 
     def closing(k: int) -> list[int]:  # reads b, p and the held first cell f: d -> f is blue
-        b, p, into = k & mask, k >> bits & mask, blue_in[k >> 2 * bits]
-        return [rep[b] - k + (rep[d] << bits) for d in (completions(b, p) if p else blue(b, ())) if d in into]
+        b, p, f = k & mask, k >> bits & mask, top[k >> 2 * bits]
+        return [rep[b] - k + (rep[d] << bits) for d in (completions(b, p) if p else blue(b, ())) if bottom[d] == f]
 
     # per kind of cell: its moves, the moves made so far, the fields it reads
     kinds = (first, {}, mask), (inner, {}, (1 << 2 * bits) - 1), (closing if wrapped else last, {}, -1)

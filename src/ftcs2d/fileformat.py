@@ -14,8 +14,8 @@ System file::
     pattern
     11
 
-Blank lines and lines starting with ``#`` are ignored.  Block files are just
-m lines of n symbol characters.
+``#`` starts a comment that runs to the end of its line (so no alphabet may
+hold it); blank lines are ignored.  Block files are m lines of n symbols.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class ParseError(ValueError):
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
-    stripped = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
-    return [(lineno, line) for lineno, line in stripped if line and not line.startswith("#")]
+    cut = ((lineno, raw.partition("#")[0].strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in cut if line]
 
 
 def parse_system(text: str) -> ConstraintSystem:
@@ -40,6 +40,9 @@ def parse_system(text: str) -> ConstraintSystem:
     if not lines:
         raise ParseError(0, "empty file")
     lineno, line = lines[0]
+    raw = text.splitlines()[lineno - 1].split()[:2]  # as written, before its comment is cut
+    if raw[0] == "alphabet" and "#" in raw[-1]:
+        raise ParseError(lineno, f"alphabet {raw[1]!r} contains '#', which starts a comment")
     parts = line.split()
     if len(parts) != 2 or parts[0] != "alphabet":
         raise ParseError(lineno, f"expected 'alphabet <tokens>', got {line!r}")

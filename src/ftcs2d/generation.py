@@ -102,11 +102,6 @@ class IdentifierGrid:
         self.system.block(k)  # range check
         self.ids[p] = k
 
-    def unset(self, i: int, j: int) -> None:
-        p = self._offset(i, j)
-        if p is not None:
-            self.ids[p] = 0
-
     def filled(self, i: int, j: int) -> bool:
         p = self._offset(i, j)
         return p is not None and self.ids[p] != 0

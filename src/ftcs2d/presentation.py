@@ -27,7 +27,6 @@ class Presentation:
     system: ConstraintSystem
     blue: dict[int, tuple[int, ...]]  # ascending successor lists
     red: dict[int, tuple[int, ...]]
-    _completions: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def vertices(self) -> range:
@@ -71,15 +70,6 @@ class Presentation:
         """red_class[u]: the first identifier with the red successors of u (0 for 0)."""
         return self._classes(self.red)
 
-    @cached_property
-    def blue_in(self) -> list[set[int]]:
-        """blue_in[v]: every u with a blue edge u -> v."""
-        into: list[set[int]] = [set() for _ in range(self.system.size + 1)]
-        for u, vs in self.blue.items():
-            for v in vs:
-                into[v].add(u)
-        return into
-
     def has_blue(self, u: int, v: int) -> bool:
         return (u, v) in self.blue_pairs
 
@@ -98,19 +88,27 @@ class Presentation:
             raise ValueError(f"no red edge {u} -> {v}")
         return Block(tuple(zip(self.system.overlaps.red[v])))
 
-    def _closing(self, b: int, c: int) -> tuple[int, ...]:
-        return tuple(d for d in self.red_out(c) if b in self.blue_in[d])
-
-    def completions(self, b: int, c: int) -> tuple[int, ...]:
-        """Every d with blue b -> d and red c -> d, ascending; cached per pair on first use.
+    @cached_property
+    def completions(self) -> Callable[[int, int], tuple[int, ...]]:
+        """completions(b, c): every d with blue b -> d and red c -> d, ascending.
 
         These close every quadruple (a, b, c, d) whose corner (a, b, c) exists:
-        b and c fix all of d's overlaps, so a adds no condition.
+        b and c fix all of d's overlaps, so a adds no condition.  One index, built
+        on first use, keys each window by its top and left overlaps (all of it but
+        its corner), each named by the first window with it; b fixes the first as
+        its bottom overlap, c the second as its right one.  Overlaps no window has
+        and identifiers outside 1..size find no key; a one-colour view has none.
         """
-        ds = self._completions.get((b, c))
-        if ds is None:
-            ds = self._completions[b, c] = self._closing(b, c)
-        return ds
+        t, n = self.system.overlaps, self.system.size + 1
+        ds = range(1, n) if self.blue and self.red else range(0)
+        top_id, left_id = {}, {}  # each overlap's first window
+        index: dict[int, tuple[int, ...]] = defaultdict(tuple)  # at most q windows per key, one per corner
+        for d in ds:
+            index[top_id.setdefault(t.top[d], d) * n + left_id.setdefault(t.left[d], d)] += (d,)
+        miss, get = -n * n, index.get  # a missing part leaves the sum negative whatever the other part is
+        below = {b: top_id[t.bottom[b]] * n for b in ds if t.bottom[b] in top_id}
+        beside = {c: left_id[t.right[c]] for c in ds if t.right[c] in left_id}
+        return lambda b, c: get(below.get(b, miss) + beside.get(c, miss), ())
 
     @cached_property
     def quadruple_table(self) -> "QuadrupleTable":
@@ -178,12 +176,12 @@ class QuadrupleTable:
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
         g = self.presentation
         return (
-            (a, b, c, d) for a in g.vertices for b in g.red_out(a) for c in g.blue_out(a) for d in g._closing(b, c)
+            (a, b, c, d) for a in g.vertices for b in g.red_out(a) for c in g.blue_out(a) for d in g.completions(b, c)
         )
 
 
 def quadruples(g: Presentation) -> QuadrupleTable:
-    """The quadruple table of g; its completions are computed per pair on demand."""
+    """The quadruple table of g; its completions are read from g's index on demand."""
     return QuadrupleTable(g)
 
 

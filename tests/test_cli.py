@@ -7,6 +7,7 @@ from ftcs2d.cli import main
 from ftcs2d.fileformat import ParseError, format_system, parse_block, parse_system
 
 COLOURINGS = Path(__file__).resolve().parent.parent / "data" / "colourings3x3.txt"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 HARD_SQUARE = """\
 # no two adjacent 1s
@@ -63,6 +64,16 @@ class TestFileFormat:
             with pytest.raises(ParseError):
                 parse_system(bad)
 
+    def test_trailing_comments(self):
+        cs = parse_system("alphabet 01  # symbols\nsize 2 2 # window\npattern # stanza\n11  # row\n")
+        assert (cs.alphabet.symbols, cs.h, cs.w, cs.size) == ("01", 2, 2, 9)
+
+    def test_alphabet_with_comment_sign(self):
+        for text in ["alphabet #.\nsize 1 1\n", "# c\nalphabet a#\nsize 1 1\n"]:
+            with pytest.raises(ParseError, match="contains '#'") as e:
+                parse_system(text)
+            assert e.value.lineno == text.count("\n", 0, text.index("alphabet")) + 1
+
     def test_parse_block_line_numbers(self):
         for text, lineno in [("# c\n01\n\n0x\n", 4), ("01\n0\n", 2), ("2\n", 1)]:
             with pytest.raises(ParseError, match=f"^line {lineno}: ") as e:
@@ -85,6 +96,20 @@ class TestBuild:
         # 7812 is the number of proper 3-colourings of the 4x4 grid
         assert main(["build", str(COLOURINGS)]) == 0
         assert capsys.readouterr().out == "|A_F|=246 blue=1122 red=1122 quads=7812\n"
+
+    def test_readme_example(self, tmp_path, capsys):
+        # the example file of the README's "System file format" section, comments and all
+        example = README.read_text().split("## System file format", 1)[1].split("```\n", 2)[1]
+        p = tmp_path / "example.txt"
+        p.write_text(example)
+        assert main(["build", str(p)]) == 0
+        assert capsys.readouterr().out == "|A_F|=9 blue=27 red=25 quads=125\n"
+
+    def test_alphabet_with_comment_sign_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "hash.txt"
+        p.write_text("alphabet #.\nsize 1 1\n")
+        assert main(["build", str(p)]) == 2
+        assert capsys.readouterr().err == "error: line 1: alphabet '#.' contains '#', which starts a comment\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"

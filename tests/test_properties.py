@@ -327,6 +327,28 @@ def test_allowed_in_canonical_order(cs):
     assert list(cs.allowed) == [b for b in all_blocks(q, h, w) if b not in cs.forbidden]
 
 
+@scan_settings
+@given(cs=window_systems(), data=st.data())
+def test_completions_are_blue_and_red_successors(cs, data):
+    """completions(b, c) against the blue successors of b that are red
+    successors of c, on the graph and on both one-colour views, with () for
+    identifiers outside 1..size.  Every pair is tried when at most 120
+    identifiers are; otherwise drawn ones, each b also with the red
+    predecessors of its first blue successors, so that some pairs close."""
+    ids = range(-1, cs.size + 2)
+    if len(ids) > 120:
+        ids = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=40, unique=True))
+    for g in (build(cs), row_presentation(cs), column_presentation(cs)):
+        red_in: dict[int, list[int]] = {}
+        for c, ds in g.red.items():
+            for d in ds:
+                red_in.setdefault(d, []).append(c)
+        for b in ids:
+            blue = set(g.blue_out(b))
+            for c in {*ids, *(c for d in g.blue_out(b)[:2] for c in red_in.get(d, ()))}:
+                assert g.completions(b, c) == tuple(sorted(blue & set(g.red_out(c))))
+
+
 @st.composite
 def shape_and_patterns(draw):
     """A window shape, up to three patterns no larger than the window, the
