@@ -179,20 +179,23 @@ def capacity_estimate(
     heights = tuple(range(cs.h, max_m + 1))
     # wide[k], narrow[k]: N(h + k, max_n), N(h + k, max_n - 1), each from one row sweep
     wide, narrow = (_sweep(g, n - cs.w + 1, len(heights), False, profile_budget) for n in (max_n, max_n - 1))
+    if not wide[-1]:  # no max_m x max_n member, so no growth to estimate
+        return CapacityEstimate(neg_inf, neg_inf, neg_inf, max_m, max_n, heights)
 
-    def log2(x: int) -> float:
-        return math.log2(x) if x > 0 else neg_inf
+    def rate(a: int, b: int) -> float:
+        """log2(a / b), the growth from b members to a: -inf for a = 0 (and b = 0 forces a = 0)."""
+        return math.log2(a) - math.log2(b) if a else neg_inf
 
     # upper: free-strip growth per column, minimized over heights
-    upper = min((log2(wide[k]) - log2(narrow[k])) / m for k, m in enumerate(heights))
+    upper = min(rate(wide[k], narrow[k]) / m for k, m in enumerate(heights))
 
     # lower: wrapped-strip growth per column, minimized over heights
     wrapped = (count_periodic(g, m, max_n, periodic_budget) for m in heights)
-    lower = min((log2(per[-1]) - log2(per[-2])) / m for m, per in zip(heights, wrapped))
+    lower = min(rate(per[-1], per[-2]) / m for m, per in zip(heights, wrapped))
 
     # point: boundary-cancelling second difference of log2 N
     if max_m >= cs.h + 1:
-        point = log2(wide[-1]) - log2(wide[-2]) - log2(narrow[-1]) + log2(narrow[-2])
+        point = math.log2(wide[-1]) - math.log2(wide[-2]) - math.log2(narrow[-1]) + math.log2(narrow[-2])
     else:
-        point = (log2(wide[-1]) - log2(narrow[-1])) / max_m
+        point = rate(wide[-1], narrow[-1]) / max_m
     return CapacityEstimate(lower, point, upper, max_m, max_n, heights)

@@ -10,8 +10,8 @@ none of its ``h x w`` windows contains a forbidden block.
 
 A window's *code* is its cells, read row-major, as base-q digits (q the
 alphabet size).  It equals the window's rank in ``all_blocks(q, h, w)``, so the
-allowed codes in ascending order give the identifiers 1..size.  Window scans
-work on codes by arithmetic; a window space above ``WINDOW_BUDGET`` is refused.
+allowed codes, grown cell by cell in ascending order, give the identifiers
+1..size.  Window scans work on codes by arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, product
-from operator import add, mul
+from itertools import chain, product
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-WINDOW_BUDGET = 1 << 20  # codes in the window space of a system or an embedding
+WINDOW_BUDGET = 1 << 20  # partial windows held at a cell; window codes listed by a complement
 
 
 class BudgetExceeded(RuntimeError):
@@ -227,9 +227,10 @@ def _window_rows(rows: Sequence[Sequence[int]], q: int, h: int, w: int) -> Itera
 def decode_windows(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:
     """The h x w blocks with the given codes, in the order given."""
     qw = q**w
-    lines = list(product(range(q), repeat=w))  # block rows, indexed by their codes
     weights = [qw**k for k in reversed(range(h))]
-    return [Block(tuple(lines[c // p % qw] for p in weights)) for c in codes]
+    rows = [[c // p % qw for p in weights] for c in codes]
+    lines = {r: tuple(r // q**k % q for k in reversed(range(w))) for r in set(chain.from_iterable(rows))}
+    return [Block.stitched(tuple(map(lines.__getitem__, r))) for r in rows]
 
 
 def _fit(blocks: Iterable[Block], h: int, w: int) -> list[Block]:
@@ -241,39 +242,35 @@ def _fit(blocks: Iterable[Block], h: int, w: int) -> list[Block]:
     return blocks
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # the marks of _grow_codes, negated
+def _allowed_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> list[int]:
+    """The codes of the h x w windows that contain none of the blocks, ascending.
 
-
-def _grow_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> bytearray:
-    """A byte per h x w window code, 1 where the window contains at least one of
-    the blocks: each placement fixes the digits of a block's cells, the free
-    cells take every digit.
-
-    Only the cells from a placement's first fixed cell to its last are grown.
-    The free cells after the last are the lowest digits, so each growth marks a
-    contiguous range of codes; the free cells before the first are the highest,
-    so that range repeats every q^(h*w - first) codes.
+    Each prefix grows by every symbol, a cell at a time, row-major, and a block's
+    placement is tested at its last cell; from there an m x n block's rows are
+    runs of n digits w apart (one run if n = w), so its code keys every
+    placement of its shape.  The partial windows held are charged at each cell.
     """
-    weights = [q ** (h * w - 1 - k) for k in range(h * w)]  # of the cells, row-major
-    shapes = defaultdict(set)  # the cells of the blocks of each shape, placed together
+    shapes = defaultdict(set)  # the codes of the blocks of each shape; the empty block's, 0, keys every window
     for b in blocks:
-        shapes[b.height, b.width].add(b.cells)
-    marks = bytearray(q ** (h * w))
-    for (m, n), cells in shapes.items():
-        # the empty block fixes no cell, so one of its placements covers them all
-        corners = product(range(h - m + 1), range(w - n + 1)) if m else [(0, 0)]
-        for top, left in corners:
-            inside = [(top + i) * w + left + j for i in range(m) for j in range(n)]
-            first, last = (inside[0], inside[-1]) if inside else (0, -1)
-            grown = [sum(map(mul, c, [weights[k] for k in inside])) for c in cells]
-            for k in set(range(first, last)).difference(inside):
-                grown = [c + x * weights[k] for c in grown for x in range(q)]
-            span, period = q ** (h * w - 1 - last), q ** (h * w - first)
-            ones = b"\x01" * span
-            for c in grown:
-                for low in range(c, len(marks), period):
-                    marks[low : low + span] = ones
-    return marks
+        shapes[b.height, b.width].add(sum(x * q**k for k, x in enumerate(reversed(b.cells))))
+    codes, symbols = [0], range(q)
+    for row, col in product(range(h), range(w)):
+        if (held := len(codes) * q) > WINDOW_BUDGET:  # never within a window space of the budget
+            done = f"{held} partial windows of {row * w + col + 1} cells"
+            raise BudgetExceeded(f"allowed {h}x{w} windows: {done} exceed budget {WINDOW_BUDGET}")
+        codes = [c * q + x for c in codes for x in symbols]
+        for (m, n), keys in shapes.items():
+            if m > row + 1 or n > col + 1:
+                continue
+            if m == 1 or n == w:
+                run = q ** (n + (m - 1) * w)
+                codes = [c for c in codes if c % run not in keys]
+            else:
+                qn, runs = q**n, [(q ** (j * w), q ** (j * n)) for j in range(m)]
+                codes = [c for c in codes if sum(c // p % qn * s for p, s in runs) not in keys]
+        if not codes:
+            break
+    return codes
 
 
 class Overlaps(NamedTuple):
@@ -305,27 +302,30 @@ class ConstraintSystem:
     """Window size (h, w), forbidden set F, and the derived allowed set.
 
     F is given as blocks of any size up to h x w; a smaller block forbids every
-    window that contains it.  ``forbidden_codes`` holds the codes of the
-    forbidden windows, and ``forbidden`` decodes them into blocks on first use.
-    Allowed blocks are numbered 1..size in canonical order; this numbering is
-    the identifier bijection used as the vertex set of every presentation.
-    ``code_to_id`` maps the code of each allowed window to its identifier.
+    window that contains it.  Only the allowed windows are listed, numbered
+    1..size in canonical order: the identifier bijection used as the vertex set
+    of every presentation.  ``code_to_id`` maps each allowed window's code to
+    its identifier; a window is forbidden iff its code is missing from it.  The
+    complement, ``forbidden_codes`` and the blocks ``forbidden``, is built on
+    first use and refused above a window space of ``WINDOW_BUDGET``.
     """
 
     def __init__(self, alphabet: Alphabet, h: int, w: int, forbidden: Iterable[Block]):
         if h < 1 or w < 1:
             raise ValueError(f"window size must be positive, got {h}x{w}")
         q = alphabet.size
-        windows = _window_space(q, h, w)
         self.alphabet, self.h, self.w = alphabet, h, w
         blocks = _fit(forbidden, h, w)
         if not {x for b in blocks for r in b.rows for x in r} <= set(range(q)):
             raise ValueError(f"forbidden block uses a symbol outside 0..{q - 1}")
-        marks = _grow_codes(blocks, q, h, w)
-        self.forbidden_codes = frozenset(compress(range(windows), marks))
-        allowed = list(compress(range(windows), marks.translate(_FLIP)))
+        allowed = _allowed_codes(blocks, q, h, w)
         self.allowed = tuple(decode_windows(allowed, q, h, w))
         self.code_to_id = dict(zip(allowed, range(1, len(allowed) + 1)))
+
+    @cached_property
+    def forbidden_codes(self) -> frozenset[int]:
+        """The codes of the forbidden h x w windows, those missing from code_to_id."""
+        return frozenset(range(_window_space(self.alphabet.size, self.h, self.w))).difference(self.code_to_id)
 
     @cached_property
     def forbidden(self) -> frozenset[Block]:
@@ -369,10 +369,10 @@ class ConstraintSystem:
 
     def first_forbidden_window(self, b: Block) -> tuple[int, int] | None:
         """Top-left corner of the first forbidden window in row-major scan, if any."""
-        bad = self.forbidden_codes
+        known = self.code_to_id
         for i, codes in enumerate(self.window_codes(b), 1):
-            if not bad.isdisjoint(codes):
-                return i, next(j for j, c in enumerate(codes, 1) if c in bad)
+            if not all(map(known.__contains__, codes)):
+                return i, next(j for j, c in enumerate(codes, 1) if c not in known)
         return None
 
     def is_member(self, b: Block) -> bool:
@@ -400,6 +400,6 @@ def embed_forbidden(
     if not patterns:
         return frozenset()
     q = alphabet.size
-    _window_space(q, h, w)
-    marks = _grow_codes([p for p in patterns if _in_alphabet(p.rows, q)], q, h, w)
-    return frozenset(decode_windows(compress(range(len(marks)), marks), q, h, w))
+    space = _window_space(q, h, w)
+    allowed = _allowed_codes([p for p in patterns if _in_alphabet(p.rows, q)], q, h, w)
+    return frozenset(decode_windows(frozenset(range(space)).difference(allowed), q, h, w))

@@ -149,6 +149,22 @@ class TestCapacity:
         assert est.empty
         assert math.isinf(est.point) and est.point < 0
 
+    def test_no_member_at_the_largest_size(self):
+        # only 01/10 is allowed, so no block of two windows is a member: every count
+        # ratio is 0/0 or 0/n, and each must give the empty estimate, never nan
+        only = Block(((0, 1), (1, 0)))
+        cs = ConstraintSystem(Alphabet("01"), 2, 2, set(all_blocks(2, 2, 2)) - {only})
+        for mm, nn in [(2, 3), (3, 3), (4, 5)]:
+            est = capacity_estimate(build(cs), mm, nn)
+            assert est.empty and est.lower == est.point == est.upper == -math.inf
+
+    def test_no_wrapped_member(self):
+        # vertical pairs 01 and 12 only: the column 012 is a member, but no column wraps
+        allowed = {Block(((0,), (1,))), Block(((1,), (2,)))}
+        cs = ConstraintSystem(Alphabet("012"), 2, 1, set(all_blocks(3, 2, 1)) - allowed)
+        est = capacity_estimate(build(cs), 3, 4)
+        assert not est.empty and (est.lower, est.point, est.upper) == (-math.inf, -1.0, 0.0)
+
     def test_size_requirements(self, hs_graph):
         with pytest.raises(ValueError):
             capacity_estimate(hs_graph, 1, 4)

@@ -239,8 +239,8 @@ class TestConstraintSystem:
 
     def test_window_budget(self):
         assert oracle.BudgetExceeded is BudgetExceeded
-        # 4^16 windows: refused before any of them is enumerated
-        with pytest.raises(BudgetExceeded, match=f"window space of 4\\^16 4x4 windows exceeds budget {WINDOW_BUDGET}"):
+        # 4^16 windows, all allowed: refused at the first cell that would hold more than the budget
+        with pytest.raises(BudgetExceeded, match=f"4194304 partial windows of 11 cells exceed budget {WINDOW_BUDGET}"):
             ConstraintSystem(Alphabet("0123"), 4, 4, ())
         with pytest.raises(BudgetExceeded):
             embed_forbidden(Alphabet("0123"), 4, 4, [blk("11")])
@@ -250,6 +250,16 @@ class TestConstraintSystem:
         zeros = Block(((0,) * 5,) * 4)
         assert embed_forbidden(Alphabet("01"), 4, 5, [zeros]) == {zeros}
         assert ConstraintSystem(Alphabet("0"), 30, 30, ()).size == 1
+
+    def test_wide_window_past_the_window_space(self):
+        # 2^30 windows, of which those with any two 1s at least 5 apart are
+        # allowed: a(n) = a(n - 1) + a(n - 5), by the last cell
+        cs = ConstraintSystem(Alphabet("01"), 1, 30, [blk("11"), blk("101"), blk("1001"), blk("10001")])
+        a = [1, 2, 3, 4, 5]
+        while len(a) <= 30:
+            a.append(a[-1] + a[-5])
+        assert cs.size == a[30] and cs.allowed[-1] == blk("10000" * 6)
+        assert cs.first_forbidden_window(blk("0" * 29 + "10001")) == (1, 5)
 
     def test_first_forbidden_window(self, hard_square):
         assert hard_square.first_forbidden_window(blk("111", "000", "000")) == (1, 1)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ftcs2d import Alphabet, analysis, presentation
+from ftcs2d import Alphabet, Block, BudgetExceeded, ConstraintSystem, all_blocks, analysis, generation, presentation
 from ftcs2d.cli import main
 from ftcs2d.fileformat import ParseError, format_system, parse_block, parse_system
 
@@ -81,9 +81,12 @@ class TestFileFormat:
             assert e.value.lineno == lineno
 
     def test_reading_decodes_no_forbidden_window(self):
+        # parse, build, count, generate and check: all from the allowed windows
         cs = parse_system(COLOURINGS.read_text())
-        presentation.build(cs)
-        assert "forbidden" not in cs.__dict__
+        g = presentation.build(cs)
+        b = generation.generate_block(g, 8, 8, generation.GenerationPolicy(seed=1))
+        assert analysis.count_by_profile(g, 4, 4) == 7812 and cs.first_forbidden_window(b) is None
+        assert "forbidden" not in cs.__dict__ and "forbidden_codes" not in cs.__dict__
         assert len(cs.forbidden_codes) == 3**9 - 246
 
 
@@ -96,6 +99,22 @@ class TestBuild:
         # 7812 is the number of proper 3-colourings of the 4x4 grid
         assert main(["build", str(COLOURINGS)]) == 0
         assert capsys.readouterr().out == "|A_F|=246 blue=1122 red=1122 quads=7812\n"
+
+    def test_colourings_past_the_window_space(self, tmp_path, capsys):
+        # 3^16 windows exceed the window-space budget, but only 7812 of them are allowed
+        text = COLOURINGS.read_text().replace("size 3 3\n", "size 4 4\n")
+        cs = parse_system(text)
+        g = presentation.build(cs)
+        assert cs.size == 7812 and analysis.count_by_profile(g, 5, 5) == 580986  # 3-colourings of the 5x5 grid
+        b = generation.generate_block(g, 16, 16, generation.GenerationPolicy(seed=1))
+        assert cs.first_forbidden_window(b) is None
+        assert "forbidden" not in cs.__dict__ and "forbidden_codes" not in cs.__dict__
+        with pytest.raises(BudgetExceeded, match="^window space of 3\\^16 4x4 windows exceeds budget 1048576$"):
+            cs.forbidden_codes
+        p = tmp_path / "c44.txt"
+        p.write_text(text)
+        assert main(["build", str(p)]) == 0
+        assert capsys.readouterr().out == "|A_F|=7812 blue=54450 red=54450 quads=580986\n"
 
     def test_readme_example(self, tmp_path, capsys):
         # the example file of the README's "System file format" section, comments and all
@@ -126,7 +145,7 @@ class TestBuild:
         assert main(["build", str(p)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: window space of 4^16 4x4 windows exceeds budget 1048576\n"
+        assert captured.err == "error: allowed 4x4 windows: 4194304 partial windows of 11 cells exceed budget 1048576\n"
 
 
 class TestCheck:
@@ -233,6 +252,21 @@ class TestCapacity:
         p.write_text(ALL_FORBIDDEN)
         assert main(["capacity", str(p), "--max-rows", "3", "--max-cols", "3"]) == 0
         assert capsys.readouterr().out == "empty system\n"
+
+    def test_no_member_at_the_largest_size(self, tmp_path, capsys):
+        only = Block(((0, 1), (1, 0)))  # the one allowed window: no 2x3 block is a member
+        p = tmp_path / "one.txt"
+        p.write_text(format_system(ConstraintSystem(Alphabet("01"), 2, 2, set(all_blocks(2, 2, 2)) - {only})))
+        for rows, cols in [("2", "3"), ("3", "3"), ("4", "5")]:
+            assert main(["capacity", str(p), "--max-rows", rows, "--max-cols", cols]) == 0
+            assert capsys.readouterr().out == "empty system\n"
+
+    def test_no_wrapped_member(self, tmp_path, capsys):
+        allowed = {Block(((0,), (1,))), Block(((1,), (2,)))}  # vertical pairs: 012 is a member, no column wraps
+        p = tmp_path / "pairs.txt"
+        p.write_text(format_system(ConstraintSystem(Alphabet("012"), 2, 1, set(all_blocks(3, 2, 1)) - allowed)))
+        assert main(["capacity", str(p), "--max-rows", "3", "--max-cols", "4"]) == 0
+        assert capsys.readouterr().out == "lower=-inf point=-1.000000 upper=0.000000\n"
 
     def test_empty_system_below_window_size(self, tmp_path, capsys):
         p = tmp_path / "empty.txt"

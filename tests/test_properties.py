@@ -379,6 +379,19 @@ def test_embed_forbidden_matches_naive(case):
     assert parse_system(text).forbidden == naive([b for _, b in stanzas])
 
 
+@settings(deadline=None, max_examples=25)
+@given(q=st.integers(1, 3), data=st.data())
+def test_window_size_leaves_counts_unchanged(q, data):
+    # patterns up to 2x2 written with 2x2, 2x3 and 3x3 windows: every pattern
+    # placement, at every corner of every window, forbids the same blocks
+    patterns = [random_block(data.draw, q, 2, 2, 1, 1) for _ in range(data.draw(st.integers(1, 3)))]
+    alphabet = Alphabet("abc"[:q])
+    graphs = [build(ConstraintSystem(alphabet, h, w, patterns)) for h, w in ((2, 2), (2, 3), (3, 3))]
+    for m, n in product(range(3, 5), repeat=2):
+        want = count_members(graphs[0].system, m, n)
+        assert [count_by_profile(g, m, n) for g in graphs] == [want] * 3
+
+
 # -- blocks stitched from edge labels against window-by-window references -----
 
 
