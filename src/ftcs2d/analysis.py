@@ -24,7 +24,7 @@ condition.  Grids biject with member blocks, so the totals are member counts.
   one, and adding their counts changes no total.
 * Wrapped columns.  The last cell d of a column needs a blue edge d -> f to
   its first cell f, held whole until then: d's bottom overlap is f's top one
-  (for m = 1, a blue self-loop, read from ``blue_pairs``).  Line k totals the
+  (for m = 1, a blue self-loop, ``has_blue(d, d)``).  Line k totals the
   height-m strips of width w + k - 1 with vertical wraparound.
 * Budget.  The live states times the line length may not exceed the budget
   after any cell is placed.  The check runs as states are built, and
@@ -91,7 +91,7 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
     def first(k: int) -> list[int]:  # reads p; 0 is the wildcard line
         ds = lead(k, ()) if k else every
         if length == 1:  # also the last cell
-            return [rep[d] - k for d in ds if not wrapped or (d, d) in g.blue_pairs]  # a blue self-loop
+            return [rep[d] - k for d in ds if not wrapped or g.has_blue(d, d)]  # a blue self-loop
         return [d + (d << length * bits if wrapped else 0) - k for d in ds]  # wrapped: and hold d
 
     def inner(k: int) -> list[int]:  # reads b, p

@@ -339,6 +339,14 @@ class ConstraintSystem:
         parts = [(r, r[:-1], r[1:], c[:-1], c[1:], r[-1], c[-1], r[-1][-1]) for r, c in windows]
         return Overlaps(*map(list, zip((None,) * len(Overlaps._fields), *parts)))
 
+    @cached_property
+    def red_cells(self) -> list:
+        """Each window's red label as h rows of one symbol (None at index 0),
+        what a red edge adds to the rows of a strip; built on first use, with
+        one tuple per distinct label."""
+        cells: dict[tuple, tuple] = {}
+        return [None] + [cells.setdefault(c, tuple(zip(c))) for c in self.overlaps.red[1:]]
+
     def window_codes(self, b: Block) -> Iterator[Sequence[int]]:
         """Codes of b's h x w windows, one row at a time; ValueError for a symbol
         outside the alphabet, whose digit would alias another window's code."""

@@ -273,11 +273,41 @@ def enumerate_blocks(
     schedule: str = ROW_MAJOR,
     stats: GenerationStats | None = None,
 ) -> Iterator[Block]:
-    """Every m x n member, by exhaustive DFS in ascending-identifier order."""
+    """Every m x n member, by exhaustive DFS in ascending-identifier order.
+
+    The DFS fills all cells but the last, the bottom-right one on every
+    schedule; one block is stitched per such parent filling, and each further
+    completion of the last cell changes only its corner symbol."""
     grid = IdentifierGrid(g.system, m, n)
     order = _empty_offsets(grid, schedule)
-    for _ in _fillings(g, grid, order, GenerationPolicy(schedule, chooser="ordered"), stats):
-        yield grid.to_block()
+    policy = GenerationPolicy(schedule, chooser="ordered")
+    ids, cols, last = grid.ids, grid.grid_cols, order[-1]
+    if grid.grid_rows == 1 or cols == 1:  # the last cell is no interior one: stitch every block
+        for _ in _fillings(g, grid, order, policy, stats):
+            yield grid.to_block()
+        return
+    t = g.system.overlaps
+    for _ in _fillings(g, grid, order[:-1], policy, stats):
+        leaves = _candidates(g, ids, last, cols)
+        if not leaves:
+            if stats is not None:
+                stats.backtracks += 1
+            continue
+        ids[last] = leaves[0]
+        if stats is not None:
+            stats.steps += 1
+        block = grid.to_block()  # checks the whole grid
+        yield block
+        head, tail = block.rows[:-1], block.rows[-1][:-1]
+        top, left = t.top[leaves[0]], t.left[leaves[0]]
+        for d in leaves[1:]:
+            if stats is not None:
+                stats.steps += 1
+            if t.top[d] == top and t.left[d] == left:  # agrees where the first leaf does
+                yield Block.stitched(head + (tail + (t.corner[d],),))
+            else:  # the full stitch names the cell the windows disagree on
+                ids[last] = d
+                yield grid.to_block()
 
 
 # -- strip generation (single presentation, one axis) -------------------------

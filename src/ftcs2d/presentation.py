@@ -15,9 +15,11 @@ colour left empty, and every consumer reads the colour it needs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
@@ -71,10 +73,12 @@ class Presentation:
         return self._classes(self.red)
 
     def has_blue(self, u: int, v: int) -> bool:
-        return (u, v) in self.blue_pairs
+        """Whether v is a blue successor of u, by bisecting u's successor list."""
+        return _has(self.blue.get(u, ()), v)
 
     def has_red(self, u: int, v: int) -> bool:
-        return (u, v) in self.red_pairs
+        """Whether v is a red successor of u, by bisecting u's successor list."""
+        return _has(self.red.get(u, ()), v)
 
     def blue_label(self, u: int, v: int) -> Block:
         """Label of blue edge u -> v: the h-th row of block(v), as a 1 x w block."""
@@ -86,7 +90,7 @@ class Presentation:
         """Label of red edge u -> v: the w-th column of block(v), as an h x 1 block."""
         if not self.has_red(u, v):
             raise ValueError(f"no red edge {u} -> {v}")
-        return Block(tuple(zip(self.system.overlaps.red[v])))
+        return Block(self.system.red_cells[v])
 
     @cached_property
     def completions(self) -> Callable[[int, int], tuple[int, ...]]:
@@ -113,6 +117,11 @@ class Presentation:
     @cached_property
     def quadruple_table(self) -> "QuadrupleTable":
         return quadruples(self)
+
+
+def _has(successors: tuple[int, ...], v: int) -> bool:
+    i = bisect_left(successors, v)
+    return i < len(successors) and successors[i] == v
 
 
 def _successors_by_overlap(leading: list, trailing: list) -> dict[int, tuple[int, ...]]:
@@ -245,16 +254,18 @@ def path_strips(
     label of each later window (see ``Overlaps``).  A ``blue`` path spells an
     m x w strip (``size`` is m), a red one an h x n strip (``size`` is n).
     With ``rng`` the successors of each vertex are shuffled before they are tried.
+    Each path's parent (all of it but its last window) is spelled once, and
+    each path adds its last label to the parent's rows.
     """
     cs, t = g.system, g.system.overlaps
     side, window = ("height", cs.h) if blue else ("width", cs.w)
-    out, spell = (g.blue_out, t.blue_strip) if blue else (g.red_out, t.red_strip)
+    out, spell, labels = (g.blue_out, t.blue_strip, t.blue) if blue else (g.red_out, t.red_strip, cs.red_cells)
     if size < window:
         raise ValueError(f"strip {side} {size} below window {side} {window}")
     for u in heads:
         cs.block(u)  # range check
 
-    def options(path: list[int]) -> Sequence[int]:
+    def options(path: Sequence[int]) -> Sequence[int]:
         if not path:
             return heads
         if rng is None:
@@ -263,5 +274,15 @@ def path_strips(
         rng.shuffle(succ)
         return succ
 
-    for path in walk(size - window + 1, options):
-        yield Block.stitched(spell(path))
+    if size == window:
+        yield from (Block.stitched(t.rows[u]) for u in heads)
+        return
+    for parent in walk(size - window, options):
+        leaves = options(parent)  # the call, and the shuffle, that walk makes when it pushes the parent
+        if not leaves:
+            continue
+        rows = spell(parent)
+        if blue:
+            yield from (Block.stitched(rows + (labels[v],)) for v in leaves)
+        else:
+            yield from (Block.stitched(tuple(map(add, rows, labels[v]))) for v in leaves)

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -45,6 +46,16 @@ def all_zero_id(cs):
 def backtracking_system():
     """A binary 2x2 system of 8 windows on which the seeded random fill backtracks."""
     return ConstraintSystem(Alphabet("01"), 2, 2, decode_windows([2, 4, 5, 8, 11, 12, 13, 15], 2, 2, 2))
+
+
+def dead_end_system():
+    """A binary 2x2 system of 8 windows whose blue and red graphs have sinks:
+    some heads start no strip of 9 windows, and seeded walks from others back up."""
+    return ConstraintSystem(Alphabet("01"), 2, 2, decode_windows([1, 4, 8, 9, 12, 13, 14, 15], 2, 2, 2))
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 # generate_block(hs_graph, 6, 9, GenerationPolicy(schedule, "random", seed)), as
@@ -294,9 +305,41 @@ class TestSeededStream:
             stats = GenerationStats()
             b = generate_block(g, 4, 6, GenerationPolicy(chooser=chooser, seed=seed), stats)
             assert (stats.steps, stats.backtracks, cs.alphabet.format_block(b)) == (steps, backtracks, rows)
-        stats = GenerationStats()
-        assert len(list(enumerate_blocks(g, 4, 6, stats=stats))) == 272
-        assert (stats.steps, stats.backtracks) == (3202, 777)
+        expected = {
+            ROW_MAJOR: (3202, 777, "003bb393331d8325"),
+            COL_MAJOR: (1832, 366, "e7e9ccdd0f4d63d6"),
+            INTERLEAVED: (2054, 444, "c07e80a255703664"),
+        }
+        for schedule, (steps, backtracks, blocks) in expected.items():
+            stats = GenerationStats()
+            out = ["/".join(cs.alphabet.format_block(b)) for b in enumerate_blocks(g, 4, 6, schedule, stats)]
+            assert (len(out), stats.steps, stats.backtracks, digest(out)) == (272, steps, backtracks, blocks)
+
+    def test_strip_streams(self, hard_square):
+        """Seeded strips of 9 windows from every head, seeds 0-2, each with the
+        rng's next draw, which pins how much its walk drew."""
+        expected = {
+            ("hard square", generate_row_strip): "c3fd08b0342b43ea",
+            ("hard square", generate_col_strip): "3740a06e8da940c0",
+            ("backtracking", generate_row_strip): "7e9a203ec0e69911",
+            ("backtracking", generate_col_strip): "da30d77c898b569a",
+            ("dead end", generate_row_strip): "5347fe78e111e97b",
+            ("dead end", generate_col_strip): "f49bd9d32b7c3230",
+        }
+        systems = {"hard square": hard_square, "backtracking": backtracking_system(), "dead end": dead_end_system()}
+        for (name, strip), want in expected.items():
+            cs = systems[name]
+            g = build(cs)
+            lines = []
+            for head, seed in product(g.vertices, range(3)):
+                rng = random.Random(seed)
+                try:
+                    text = "/".join(cs.alphabet.format_block(strip(g, head, 9, rng)))
+                except DeadEnd:
+                    text = "dead end"
+                lines.append(f"{head} {seed} {text} {rng.getrandbits(32)}")
+            assert any("dead end" in line for line in lines) == (name == "dead end")
+            assert digest(lines) == want
 
 
 class TestExhaustiveEnumeration:

@@ -15,11 +15,13 @@ from ftcs2d import (
     Block,
     ConstraintSystem,
     GenerationPolicy,
+    GenerationStats,
     IdentifierGrid,
     NotRealizable,
     Presentation,
     all_blocks,
     build,
+    candidates,
     class_view,
     column_presentation,
     count_by_profile,
@@ -34,7 +36,7 @@ from ftcs2d import (
     row_presentation,
 )
 from ftcs2d.fileformat import format_system, parse_system
-from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips, fill_grid
+from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips, fill_grid, schedule_cells
 
 MAX_CANDIDATES = 4096  # q ** (m * n) for the oracle's scan, to keep the suite fast
 
@@ -122,12 +124,58 @@ def test_class_view_reads_red_edges(cs, n_extra):
 @example(cs=EMPTY, m_extra=1, n_extra=1)
 @example(cs=ROW_WINDOW, m_extra=1, n_extra=2)
 @example(cs=COL_WINDOW, m_extra=2, n_extra=1)
+@example(cs=FREE, m_extra=0, n_extra=2)
+@example(cs=FREE, m_extra=2, n_extra=0)
+@example(cs=FREE, m_extra=0, n_extra=0)
 def test_enumerate_blocks_matches_oracle(cs, m_extra, n_extra):
+    """The members, and, in order and with the same counters, the blocks of a
+    reference that stitches every filling; grids of one row, one column and
+    one cell included (an extra of 0)."""
     m, n = sizes(cs, m_extra, n_extra)
     g = build(cs)
     members = list(enumerate_members(cs, m, n))
     for schedule in SCHEDULES:
-        assert canonical(enumerate_blocks(g, m, n, schedule)) == members
+        stats, want = GenerationStats(), GenerationStats()
+        got = list(enumerate_blocks(g, m, n, schedule, stats))
+        assert canonical(got) == members
+        assert got == list(reference_enumeration(g, m, n, schedule, want)) and stats == want
+
+
+def test_enumerate_blocks_checks_every_leaf(hard_square):
+    """A completion slipped in after the true ones disagrees with the grid: the
+    AssertionError of the reference's to_block, on every schedule."""
+    g = build(hard_square)
+    true = g.completions
+    g.__dict__["completions"] = lambda b, c: true(b, c) + (next(d for d in g.vertices if d not in true(b, c)),)
+    for schedule in SCHEDULES:
+        errors = []
+        reference = reference_enumeration(g, 3, 3, schedule, GenerationStats())
+        for blocks in (enumerate_blocks(g, 3, 3, schedule), reference):
+            with pytest.raises(AssertionError, match="overlap disagreement") as e:
+                list(blocks)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+
+
+def reference_enumeration(g, m, n, schedule, stats):
+    """Every filling of a fresh grid, cell by cell in schedule order with the
+    ``candidates`` of each, each leaf stitched by ``to_block``; ``stats``
+    counts the identifiers placed and the cells reached with no candidate."""
+    grid = IdentifierGrid(g.system, m, n)
+    cells = schedule_cells(schedule, m, n, g.system.h, g.system.w)
+
+    def fill(t):
+        if t == len(cells):
+            yield grid.to_block()
+            return
+        options = candidates(g, grid, *cells[t])
+        stats.backtracks += not options
+        for k in options:
+            grid.set(*cells[t], k)
+            stats.steps += 1
+            yield from fill(t + 1)
+
+    return fill(0)
 
 
 @walker_settings
@@ -347,6 +395,30 @@ def test_completions_are_blue_and_red_successors(cs, data):
             blue = set(g.blue_out(b))
             for c in {*ids, *(c for d in g.blue_out(b)[:2] for c in red_in.get(d, ()))}:
                 assert g.completions(b, c) == tuple(sorted(blue & set(g.red_out(c))))
+
+
+@scan_settings
+@given(cs=window_systems(), data=st.data())
+def test_edge_queries_match_edge_pairs(cs, data):
+    """has_blue and has_red against the edge pairs, on the graph and on both
+    one-colour views, for identifiers -1..size+1: every pair when at most 120
+    identifiers are, otherwise every pair from up to 10 drawn ones."""
+    ids = range(-1, cs.size + 2)
+    us = ids if len(ids) <= 120 else data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10, unique=True))
+    for g in (build(cs), row_presentation(cs), column_presentation(cs)):
+        for u, v in product(us, ids):
+            assert g.has_blue(u, v) == ((u, v) in g.blue_pairs)
+            assert g.has_red(u, v) == ((u, v) in g.red_pairs)
+
+
+def test_edge_queries_build_no_edge_pairs(hard_square):
+    g = build(hard_square)
+    quad = next(iter(g.quadruple_table))
+    assert quad in g.quadruple_table and (0, *quad[1:]) not in g.quadruple_table
+    b, c = g.blue[1][0], g.red[1][0]
+    assert g.blue_label(1, b) == hard_square.block(b).row_block(2)
+    assert g.red_label(1, c) == hard_square.block(c).col_block(2)
+    assert "blue_pairs" not in g.__dict__ and "red_pairs" not in g.__dict__
 
 
 @st.composite
