@@ -11,11 +11,13 @@ none of its ``h x w`` windows contains a forbidden block.
 A window's *code* is its cells, read row-major, as base-q digits (q the
 alphabet size).  It equals the window's rank in ``all_blocks(q, h, w)``, so the
 allowed codes, grown cell by cell in ascending order, give the identifiers
-1..size.  Window scans work on codes by arithmetic.
+1..size.  Window scans work on codes by arithmetic, a row of windows at a time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,13 +26,15 @@ from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 WINDOW_BUDGET = 1 << 20  # partial windows held at a cell; window codes listed by a complement
+_TYPECODES = {array(t).itemsize: t for t in "QLIHB"}  # the array typecode of each field size of 1, 2, 4 and 8 bytes
+_STEP = 1 if sys.byteorder == "little" else -1  # reads a native array of fields low field first
 
 
 class BudgetExceeded(RuntimeError):
     """Work refused up front for exceeding its budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Immutable 2D array of symbol indices, stored as a tuple of row tuples."""
 
@@ -203,25 +207,40 @@ def _window_space(q: int, h: int, w: int) -> int:
 
 
 def _in_alphabet(rows: tuple[tuple[int, ...], ...], q: int) -> bool:
-    return not rows or (min(map(min, rows)) >= 0 and max(map(max, rows)) < q)
+    return all(map(frozenset(range(q)).issuperset, rows))
 
 
 def _window_rows(rows: Sequence[Sequence[int]], q: int, h: int, w: int) -> Iterator[Sequence[int]]:
-    """For each top row, the codes of the h x w windows along it, left to right."""
-    qw = q**w
-    top = qw ** (h - 1)  # weight of a window's top row
-    for i, r in enumerate(rows):
-        line = r[: len(r) - w + 1]
-        for k in range(1, w):
-            line = [a * q + b for a, b in zip(line, r[k:])]
-        if i == 0 or h == 1:
-            codes = line
-        elif i < h:
-            codes = [a * qw + b for a, b in zip(codes, line)]
+    """For each top row, the codes of the h x w windows along it, left to right.
+
+    A row is packed into one int, cell k in field k from the low end, each field
+    wide enough for a window code, so that none carries into the next.  Shifted
+    down k fields, the row puts cell j + k under cell j: so w - 1 shifts give
+    each cell's run of w digits, and the last h runs, weighted by q^w, the codes.
+    Fields of 1, 2, 4 or 8 bytes are read back as a native array (high field
+    first on a big-endian host, hence ``_STEP``), wider ones one at a time.
+    """
+    span, qw, nbits = len(rows[0]) - w + 1, q**w, (q ** (h * w) - 1).bit_length()
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= nbits), -(-nbits // 8))
+    bits, typecode, buf = 8 * size, _TYPECODES.get(size), bytearray(size * len(rows[0]))
+    mask, field, lines = (1 << bits * span) - 1, (1 << bits) - 1, []
+    for r in rows:
+        if q <= 256:  # a cell is the low byte of its field
+            buf[::size] = bytes(r)
+            line = p = int.from_bytes(buf, "little")
         else:
-            codes = [a % top * qw + b for a, b in zip(codes, line)]
-        if i >= h - 1:
-            yield codes
+            line = p = sum(x << bits * k for k, x in enumerate(r))
+        for k in range(1, w):
+            line = line * q + (p >> bits * k)
+        lines.append(line & mask)
+        if len(lines) == h:
+            codes = lines.pop(0)
+            for line in lines:
+                codes = codes * qw + line
+            if typecode:
+                yield array(typecode, codes.to_bytes(size * span, sys.byteorder))[::_STEP]
+            else:
+                yield [codes >> bits * k & field for k in range(span)]
 
 
 def decode_windows(codes: Iterable[int], q: int, h: int, w: int) -> list[Block]:

@@ -346,6 +346,13 @@ def is_generated(g: Presentation, b: Block) -> bool:
     Equivalent to: every full-height width-w strip of b is a blue path and every
     full-width height-h strip is a red path.  Windows are looked up by code, one
     row of windows at a time; a symbol outside the alphabet is no vertex.
+
+    A colour that is the overlap relation (``Presentation.overlap_colours``)
+    needs no check: a window and the one below it share rows i+1..i+h-1 of b,
+    which are the bottom overlap of the first and the top overlap of the
+    second, so a blue edge joins them whenever both are vertices; likewise the
+    shared columns give a red edge to the right.  Any other colour is checked
+    pair by pair.
     """
     cs = g.system
     if b.height < cs.h or b.width < cs.w:
@@ -354,11 +361,15 @@ def is_generated(g: Presentation, b: Block) -> bool:
         window_rows = cs.window_codes(b)
     except ValueError:
         return False
-    above: list[int | None] = []  # the identifiers of the row of windows above
+    known = cs.code_to_id
+    blue, red = g.overlap_colours
+    above: list[int] = []  # the identifiers of the row of windows above
     for codes in window_rows:
-        ids = list(map(cs.code_to_id.get, codes))
-        red, blue = zip(ids, ids[1:]), zip(above, ids)  # edges to the right and from above
-        if None in ids or not (g.red_pairs.issuperset(red) and g.blue_pairs.issuperset(blue)):
+        if not all(map(known.__contains__, codes)):
             return False
-        above = ids
+        if not (blue and red):
+            ids = list(map(known.__getitem__, codes))
+            if not (red or all(map(g.has_red, ids, ids[1:]))) or not (blue or all(map(g.has_blue, above, ids))):
+                return False
+            above = ids
     return True

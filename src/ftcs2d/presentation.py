@@ -49,14 +49,12 @@ class Presentation:
         return self.red.get(u, ())
 
     @cached_property
-    def blue_pairs(self) -> frozenset[tuple[int, int]]:
-        """Every blue edge as a pair (u, v); built on first use."""
-        return frozenset((u, v) for u, vs in self.blue.items() for v in vs)
-
-    @cached_property
-    def red_pairs(self) -> frozenset[tuple[int, int]]:
-        """Every red edge as a pair (u, v); built on first use."""
-        return frozenset((u, v) for u, vs in self.red.items() for v in vs)
+    def overlap_colours(self) -> tuple[bool, bool]:
+        """Whether the blue and the red successor lists are the overlap relation,
+        as ``row_presentation`` and ``column_presentation`` build them (compared
+        by content, so a copy of them counts too); built on first use."""
+        t = self.system.overlaps
+        return self.blue == _successors_by_overlap(t.top, t.bottom), self.red == _successors_by_overlap(t.left, t.right)
 
     def _classes(self, out: dict[int, tuple[int, ...]]) -> list[int]:
         first: dict[tuple[int, ...], int] = {}
@@ -218,7 +216,7 @@ def class_view(gc: Presentation, k: int) -> ClassView:
 
 def class_connections(g: Presentation) -> frozenset[tuple[int, int]]:
     """Pairs (k, k') with a blue edge k -> k': the class-to-class connection graph."""
-    return g.blue_pairs
+    return frozenset((u, v) for u, vs in g.blue.items() for v in vs)
 
 
 def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator[tuple[int, ...]]:

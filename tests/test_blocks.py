@@ -232,6 +232,13 @@ class TestConstraintSystem:
         assert hard_square.identifier(b) is None
         assert not is_generated(hs_graph, b)
 
+    def test_alphabet_checked_before_the_scan(self, hard_square, hs_graph):
+        # the first window is forbidden, and a foreign symbol sits in the last row
+        b = Block(((1, 1, 0),) + ((0, 0, 0),) * 3 + ((0, 0, 5),))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            hard_square.first_forbidden_window(b)
+        assert not is_generated(hs_graph, b)
+
     def test_unknown_symbol_identifier(self, hard_square, hs_graph):
         b = Block(((2, 0), (0, 0)))
         assert hard_square.identifier(b) is None

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -392,6 +393,14 @@ class TestLargeWindowSpace:
         assert (cs.size, g.n_blue, g.n_red) == (3**9, 3**12, 3**12)
         b = generate_block(g, 20, 20)
         assert (b.height, b.width) == (20, 20) and cs.is_member(b)
+        # the first walk check retains no table of the 531,441 edges of each colour
+        tracemalloc.start()
+        try:
+            assert is_generated(g, b)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20 and g.overlap_colours == (True, True)
 
 
 class TestReconstruction:

@@ -360,6 +360,104 @@ def test_is_generated_matches_naive(case, data):
     assert is_generated(g, b) == naive
 
 
+def naive_walk(g, b):
+    """The walk check written out: every window a vertex, and an edge of the
+    right colour from each window to its right and lower neighbours."""
+    cs = g.system
+    ids = {(i, j): naive_identifier(cs, win) for (i, j), win in naive_windows(b, cs.h, cs.w)}
+    return None not in ids.values() and all(
+        ((i, j + 1) not in ids or g.has_red(k, ids[i, j + 1]))
+        and ((i + 1, j) not in ids or g.has_blue(k, ids[i + 1, j]))
+        for (i, j), k in ids.items()
+    )
+
+
+@scan_settings
+@given(case=system_and_block())
+def test_is_generated_is_membership_on_overlap_graphs(case):
+    """On the graph, both one-colour views and a content-equal copy of the
+    graph against the naive pair walk; on the graph it is plain membership."""
+    cs, b = case
+    g = build(cs)
+    if b.height < cs.h or b.width < cs.w:
+        with pytest.raises(ValueError):
+            is_generated(g, b)
+        return
+    assert is_generated(g, b) == cs.is_member(b)
+    copy = Presentation(cs, dict(g.blue), dict(g.red))
+    assert copy.overlap_colours == g.overlap_colours == (True, True)
+    for view in (g, copy, row_presentation(cs), column_presentation(cs)):
+        assert is_generated(view, b) == naive_walk(view, b)
+
+
+# (q, h, w) for q in 1..5 and h, w in 1..4 with at most 2^16 windows; their codes fit fields of 1 or 2 bytes
+KERNEL_SHAPES = [
+    (q, h, w) for q in range(1, 6) for h in range(1, 5) for w in range(1, 5) if q ** (h * w) <= 1 << 16
+]
+
+
+@st.composite
+def kernel_case(draw):
+    """A system of up to three patterns and up to eight windows, and a block
+    whose sides are drawn among 0, 1, the window's and a little more, in half
+    the cases with a pattern planted."""
+    q, h, w = draw(st.sampled_from(KERNEL_SHAPES))
+    patterns = [random_block(draw, q, h, w, 1, 1) for _ in range(draw(st.integers(0, 3)))]
+    windows = [random_block(draw, q, h, w, h, w) for _ in range(draw(st.integers(0, 8)))]
+    cs = ConstraintSystem(Alphabet("abcde"[:q]), h, w, patterns + windows)
+    m, n = draw(st.sampled_from([0, 1, h, h + 1, h + 3])), draw(st.sampled_from([0, 1, w, w + 1, w + 3]))
+    rows = [[draw(st.integers(0, q - 1)) for _ in range(n)] for _ in range(m)]
+    if patterns and m >= h and n >= w and draw(st.booleans()):
+        p = draw(st.sampled_from(patterns))
+        top, left = draw(st.integers(0, m - p.height)), draw(st.integers(0, n - p.width))
+        for i, r in enumerate(p.rows):
+            rows[top + i][left : left + p.width] = r
+    return cs, Block(rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=kernel_case())
+def test_window_kernel_matches_naive(case):
+    cs, b = case
+    ids = {win: k for k, win in enumerate(cs.allowed, 1)}
+    wins = naive_windows(b, cs.h, cs.w)
+    assert cs.first_forbidden_window(b) == next((corner for corner, win in wins if win not in ids), None)
+    for _, win in wins:
+        assert cs.identifier(win) == ids.get(win)
+
+
+@pytest.mark.parametrize("h, w", [(2, 2), (3, 3), (4, 5), (5, 8), (9, 8)])
+def test_window_kernel_field_widths(h, w):
+    """Binary windows of 4, 9, 20, 40 and 72 cells: codes in fields of 1, 2, 4
+    and 8 bytes, and past 8 bytes.  Forbidding 01, 10 and their transposes
+    leaves the two constant windows; one planted 0 is first seen by the
+    first window that covers it."""
+    cs = ConstraintSystem(BINARY, h, w, [Block(((0, 1),)), Block(((1, 0),)), Block(((0,), (1,))), Block(((1,), (0,)))])
+    assert cs.allowed == (Block(((0,) * w,) * h), Block(((1,) * w,) * h))
+    ones = Block(((1,) * 20,) * 20)
+    assert cs.first_forbidden_window(ones) is None and is_generated(build(cs), ones)
+    assert cs.identifier(cs.allowed[1]) == 2 and cs.identifier(ones.subblock(3, 4, h, w)) == 2
+    for i, j in ((1, 1), (7, 13), (20, 20)):
+        rows = [list(r) for r in ones.rows]
+        rows[i - 1][j - 1] = 0
+        planted = Block(rows)
+        corner = (max(1, i - h + 1), max(1, j - w + 1))
+        assert cs.first_forbidden_window(planted) == corner
+        assert not is_generated(build(cs), planted)
+        assert cs.identifier(planted.subblock(*corner, h, w)) is None
+
+
+def test_window_kernel_wide_symbols():
+    """300 symbols, so a cell no longer fits a byte: 1x2 windows whose codes
+    take fields of 4 bytes, with one 1x1 and one 1x2 pattern."""
+    cs = ConstraintSystem(Alphabet("".join(map(chr, range(0x100, 0x100 + 300)))), 1, 2, [Block(((280,),)), Block(((299, 7),))])
+    assert cs.size == 299**2 - 1
+    assert cs.first_forbidden_window(Block(((0, 299, 8, 299, 280),) * 2)) == (1, 4)
+    assert cs.first_forbidden_window(Block(((0, 299, 8), (299, 7, 0)))) == (2, 1)
+    assert cs.first_forbidden_window(Block(((298, 299, 0), (257, 256, 0)))) is None
+    assert cs.identifier(Block(((0, 299),))) == 299 and cs.identifier(Block(((299, 7),))) is None
+
+
 @scan_settings
 @given(cs=window_systems())
 def test_format_system_round_trips(cs):
@@ -406,9 +504,11 @@ def test_edge_queries_match_edge_pairs(cs, data):
     ids = range(-1, cs.size + 2)
     us = ids if len(ids) <= 120 else data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10, unique=True))
     for g in (build(cs), row_presentation(cs), column_presentation(cs)):
+        blue_pairs = {(u, v) for u, vs in g.blue.items() for v in vs}
+        red_pairs = {(u, v) for u, vs in g.red.items() for v in vs}
         for u, v in product(us, ids):
-            assert g.has_blue(u, v) == ((u, v) in g.blue_pairs)
-            assert g.has_red(u, v) == ((u, v) in g.red_pairs)
+            assert g.has_blue(u, v) == ((u, v) in blue_pairs)
+            assert g.has_red(u, v) == ((u, v) in red_pairs)
 
 
 def test_edge_queries_build_no_edge_pairs(hard_square):
@@ -419,6 +519,7 @@ def test_edge_queries_build_no_edge_pairs(hard_square):
     assert g.blue_label(1, b) == hard_square.block(b).row_block(2)
     assert g.red_label(1, c) == hard_square.block(c).col_block(2)
     assert "blue_pairs" not in g.__dict__ and "red_pairs" not in g.__dict__
+    assert not hasattr(Presentation, "blue_pairs") and not hasattr(Presentation, "red_pairs")
 
 
 @st.composite
