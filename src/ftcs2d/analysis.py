@@ -26,9 +26,23 @@ condition.  Grids biject with member blocks, so the totals are member counts.
   its first cell f, held whole until then: d's bottom overlap is f's top one
   (for m = 1, a blue self-loop, ``has_blue(d, d)``).  Line k totals the
   height-m strips of width w + k - 1 with vertical wraparound.
+* Replay.  The moves a step adds to a state are a function of the state's
+  key, so a line that starts on the same set of states as another makes the
+  same transitions, only with other counts.  The first line starts under the
+  wildcard and runs as a dict step.  A later line is compiled into tables:
+  per cell, each new state's first source and the other (new, source) pairs,
+  by position in a list of counts.  If it ends on the set it started from,
+  every later line replays its tables on the counts alone.  Otherwise the next
+  line is compiled afresh, but a last line that has not settled stays a dict
+  step, so sweeps of one or two lines build no tables.  The sets settle: the
+  last k lines of a grid are a grid of k lines with the same last line, so the
+  states ending line k + 1 are among those ending line k.
 * Budget.  The live states times the line length may not exceed the budget
-  after any cell is placed.  The check runs as states are built, and
-  ``BudgetExceeded`` names the operator and gives the live states.
+  after any cell is placed.  The check runs as states are built, in dict
+  order also when a line is compiled, and a replayed line has the states of
+  the compiled line that passed it.  ``BudgetExceeded`` names the operator
+  and gives the live states, in its text and as ``layer``, ``count`` and
+  ``limit``.
 
 Capacity (the limit of log2 N(m, n) / (m n)) is bracketed from strip counts,
 taken from one row sweep per width (max_n and max_n - 1) and one wrapped
@@ -57,6 +71,10 @@ from .oracle import BudgetExceeded
 PROFILE_BUDGET = 1 << 22  # rows: live states times row length, at every cell
 PERIODIC_BUDGET = 1 << 24  # wrapped columns: live states times height, at every cell
 
+# a compiled line, per cell: the first source of each new state, then the new
+# states and the sources of the other moves, all as positions in lists of counts
+Tables = list[tuple[list[int], list[int], list[int]]]
+
 
 def _check_size(g: Presentation, m: int, n: int) -> None:
     cs = g.system
@@ -74,6 +92,11 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
     """
     layer = f"wrapped column operator of height {length}" if wrapped else f"row operator of width {length}"
     cap = budget // length  # live states allowed
+
+    def refused(live: int) -> BudgetExceeded:
+        message = f"{layer}: {live} live states of {length} cells exceed budget {budget}"
+        return BudgetExceeded(message, layer=layer, count=live, limit=budget)
+
     completions, blue, red = g.completions, g.blue.get, g.red.get
     bottom, top = g.system.overlaps.bottom, g.system.overlaps.top
     # rows: p above and b on the left; wrapped columns: p on the left and b above
@@ -108,24 +131,100 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
 
     # per kind of cell: its moves, the moves made so far, the fields it reads
     kinds = (first, {}, mask), (inner, {}, (1 << 2 * bits) - 1), (closing if wrapped else last, {}, -1)
-    states = {0: 1}
-    totals = []
-    for _ in range(lines):
+    ints: list[int] = []  # shared position ints, so that tables hold references, not new ints
+
+    def compile_line(order: list[int]) -> tuple[Tables, list[int]]:
+        """Tables for a line from the states ``order``, and the states it ends on.
+
+        A cell's tables give, for each new state in order of first appearance, the
+        position of its first source, and then the (new, source) position pairs
+        that add to it.  The states are walked in the order a dict step walks them,
+        so the budget trips at the same state with the same count.
+        """
+        cells = []
+        ints.extend(range(len(ints), len(order)))
         for j in range(length):
             make, made, fields = kinds[0 if not j else 2 if j == length - 1 else 1]
             shift = max(j - 1, 0) * bits
-            new: dict[int, int] = defaultdict(int)
-            for s, c in states.items():
+            index: dict[int, int] = {}  # new state: its position
+            firsts: list[int] = []
+            dests: list[int] = []
+            sources: list[int] = []
+            for s, p in zip(order, ints):
                 k = s >> shift & fields
                 moves = made.get(k)
                 if moves is None:
                     moves = made[k] = make(k)
                 for move in moves:
-                    new[s + (move << shift)] += c
-                if len(new) > cap:
-                    raise BudgetExceeded(f"{layer}: {len(new)} live states of {length} cells exceed budget {budget}")
-            states = new
-        totals.append(sum(states.values()))
+                    t = s + (move << shift)
+                    d = index.get(t)
+                    if d is None:
+                        index[t] = len(firsts)
+                        firsts.append(p)
+                    else:
+                        dests.append(d)
+                        sources.append(p)
+                if len(index) > cap:
+                    raise refused(len(index))
+            order = list(index)
+            del index
+            ints.extend(range(len(ints), len(order)))
+            cells.append((firsts, list(map(ints.__getitem__, dests)), sources))
+        return cells, order
+
+    def replay(cells: Tables, vals: list[int]) -> list[int]:
+        for firsts, dests, sources in cells:
+            new = list(map(vals.__getitem__, firsts))
+            for d, s in zip(dests, sources):
+                new[d] += vals[s]
+            vals = new
+        return vals
+
+    def settled(cells: Tables, start: list[int], end: list[int]) -> Tables | None:
+        """The tables of a line that ends on the states it starts from, made to
+        read its first cell at the end positions, where replays keep the values;
+        None for any other line."""
+        at = dict(zip(end, ints))  # each end state's position
+        if len(at) != len(start) or not all(map(at.__contains__, start)):
+            return None
+        firsts, dests, sources = cells[0]
+        pos = list(map(at.__getitem__, start))
+        cells[0] = list(map(pos.__getitem__, firsts)), dests, list(map(pos.__getitem__, sources))
+        return cells
+
+    states = {0: 1}
+    totals = []
+    stable = None  # a compiled line that ends on the states it starts from
+    for i in range(lines):
+        if stable:
+            vals = replay(stable, vals)
+            totals.append(sum(vals))
+        elif 0 < i < lines - 1:
+            keys, vals = list(states), list(states.values())
+            del states  # freed before the tables are built
+            cells, end = compile_line(keys)
+            vals = replay(cells, vals)
+            totals.append(sum(vals))
+            stable = settled(cells, keys, end)
+            if not stable:
+                states = dict(zip(end, vals))
+            del keys, end
+        else:  # the first line, under the wildcard, or the last one before the frontier settles
+            for j in range(length):
+                make, made, fields = kinds[0 if not j else 2 if j == length - 1 else 1]
+                shift = max(j - 1, 0) * bits
+                new: dict[int, int] = defaultdict(int)
+                for s, c in states.items():
+                    k = s >> shift & fields
+                    moves = made.get(k)
+                    if moves is None:
+                        moves = made[k] = make(k)
+                    for move in moves:
+                        new[s + (move << shift)] += c
+                    if len(new) > cap:
+                        raise refused(len(new))
+                states = new
+            totals.append(sum(states.values()))
     return totals
 
 

@@ -31,7 +31,13 @@ _STEP = 1 if sys.byteorder == "little" else -1  # reads a native array of fields
 
 
 class BudgetExceeded(RuntimeError):
-    """Work refused up front for exceeding its budget."""
+    """Work refused up front for exceeding its budget: ``layer`` names the work,
+    ``count`` is how much of it there was when it stopped, and ``limit`` is the
+    budget it was charged against (the numbers the message gives)."""
+
+    def __init__(self, message: str, *, layer: str, count: int, limit: int):
+        super().__init__(message)
+        self.layer, self.count, self.limit = layer, count, limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +208,10 @@ def all_blocks(alphabet_size: int, m: int, n: int) -> Iterator[Block]:
 def _window_space(q: int, h: int, w: int) -> int:
     """The number of h x w windows, q^(h*w); BudgetExceeded above WINDOW_BUDGET."""
     if q > 1 and h * w >= WINDOW_BUDGET.bit_length() or q ** (h * w) > WINDOW_BUDGET:
-        raise BudgetExceeded(f"window space of {q}^{h * w} {h}x{w} windows exceeds budget {WINDOW_BUDGET}")
+        raise BudgetExceeded(
+            f"window space of {q}^{h * w} {h}x{w} windows exceeds budget {WINDOW_BUDGET}",
+            layer="window space", count=q ** (h * w), limit=WINDOW_BUDGET,
+        )
     return q ** (h * w)
 
 
@@ -276,7 +285,10 @@ def _allowed_codes(blocks: Iterable[Block], q: int, h: int, w: int) -> list[int]
     for row, col in product(range(h), range(w)):
         if (held := len(codes) * q) > WINDOW_BUDGET:  # never within a window space of the budget
             done = f"{held} partial windows of {row * w + col + 1} cells"
-            raise BudgetExceeded(f"allowed {h}x{w} windows: {done} exceed budget {WINDOW_BUDGET}")
+            raise BudgetExceeded(
+                f"allowed {h}x{w} windows: {done} exceed budget {WINDOW_BUDGET}",
+                layer=f"allowed {h}x{w} windows", count=held, limit=WINDOW_BUDGET,
+            )
         codes = [c * q + x for c in codes for x in symbols]
         for (m, n), keys in shapes.items():
             if m > row + 1 or n > col + 1:

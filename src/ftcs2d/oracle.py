@@ -36,7 +36,8 @@ def enumerate_members(
     _check_size(cs, m, n)
     q = cs.alphabet.size
     if q ** (m * n) > budget:
-        raise BudgetExceeded(f"{q}^{m * n} candidates exceed budget {budget}")
+        message = f"{q}^{m * n} candidates exceed budget {budget}"
+        raise BudgetExceeded(message, layer="oracle enumeration", count=q ** (m * n), limit=budget)
     h, w = cs.h, cs.w
     forbidden = {f.rows for f in cs.forbidden}
     grid = [[0] * n for _ in range(m)]
@@ -68,7 +69,8 @@ def count_members(cs: ConstraintSystem, m: int, n: int, budget: int = COUNT_BUDG
     _check_size(cs, m, n)
     q = cs.alphabet.size
     if q**n > budget:
-        raise BudgetExceeded(f"{q}^{n} row states exceed budget {budget}")
+        message = f"{q}^{n} row states exceed budget {budget}"
+        raise BudgetExceeded(message, layer="oracle count", count=q**n, limit=budget)
     h, w = cs.h, cs.w
     forbidden = {f.rows for f in cs.forbidden}
     rows = list(product(range(q), repeat=n))

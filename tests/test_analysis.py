@@ -74,6 +74,23 @@ class TestProfileCounting:
         assert count_by_profile(hs_graph, 16, 16) == HARD_SQUARE_16
         assert time.perf_counter() - start < 5
 
+    def test_long_strip_through_replayed_lines(self, hs_graph):
+        # 1,999 lines after the first: a transfer over 6-bit rows with no two
+        # adjacent 1s (v'[s] sums v[r] over rows r with r & s == 0)
+        rows = [r for r in range(64) if not r & r >> 1]
+        v = dict.fromkeys(rows, 1)
+        for _ in range(1999):
+            v = {s: sum(v[r] for r in rows if not r & s) for s in rows}
+        assert count_by_profile(hs_graph, 2000, 6) == sum(v.values())
+
+    def test_budget_pinned_across_replayed_lines(self, hs_graph):
+        # 30x8 is 29 rows of 7 cells; from the second row on, cells 1 and 5 hold
+        # the peak of 141 live states, a charge of 987
+        want = 40540461886644028820255571312158602181109751
+        assert count_by_profile(hs_graph, 30, 8, budget=987) == want
+        with pytest.raises(BudgetExceeded, match="^row operator of width 7: 141 live states of 7 cells exceed budget 986$"):
+            count_by_profile(hs_graph, 30, 8, budget=986)
+
     def test_three_symbol_3x6(self, three_symbol, three_symbol_graph):
         # whole-row successors took about 30 s here at a budget of 2^40
         assert count_by_profile(three_symbol_graph, 3, 6) == count_members(three_symbol, 3, 6) == 21045446
@@ -122,6 +139,17 @@ class TestPeriodicCounting:
         got = count_periodic(three_symbol_graph, m, n)
         assert got == want
         assert all(type(x) is int for x in got) and got[-1] > 2**53
+
+    def test_long_wrapped_strip_through_replayed_lines(self, hs_graph):
+        # a transfer over wrapped 5-bit columns with no two cyclically adjacent
+        # 1s, neighbouring columns sharing no 1: widths 2 to 2,000
+        columns = [c for c in range(32) if not c & (c << 1 | c >> 4) & 31]
+        ahead = dict.fromkeys(columns, 1)  # ahead[c]: wrapped strips of the current width starting at c
+        want = []
+        for _ in range(2, 2001):
+            ahead = {c: sum(ahead[d] for d in columns if not c & d) for c in columns}
+            want.append(sum(ahead.values()))
+        assert count_periodic(hs_graph, 5, 2000) == want
 
     def test_height_one(self):
         alph = Alphabet("01")

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from ftcs2d import (
     BudgetExceeded,
     ConstraintSystem,
     all_blocks,
+    count_by_profile,
     embed_forbidden,
     is_generated,
     oracle,
@@ -243,6 +245,29 @@ class TestConstraintSystem:
         b = Block(((2, 0), (0, 0)))
         assert hard_square.identifier(b) is None
         assert not is_generated(hs_graph, b)
+
+    @pytest.mark.parametrize(
+        "refuse, layer, pattern",
+        [
+            (lambda g: count_by_profile(g, 3, 3, budget=23), "row operator of width 2",
+             r"row operator of width 2: (\d+) live states of 2 cells exceed budget (\d+)"),
+            (lambda g: ConstraintSystem(Alphabet("0123"), 4, 4, ()), "allowed 4x4 windows",
+             r"allowed 4x4 windows: (\d+) partial windows of 11 cells exceed budget (\d+)"),
+            (lambda g: embed_forbidden(Alphabet("0123"), 4, 4, [blk("11")]), "window space",
+             r"window space of (\d+\^\d+) 4x4 windows exceeds budget (\d+)"),
+            (lambda g: list(oracle.enumerate_members(g.system, 3, 3, budget=500)), "oracle enumeration",
+             r"(\d+\^\d+) candidates exceed budget (\d+)"),
+            (lambda g: oracle.count_members(g.system, 2, 9, budget=500), "oracle count",
+             r"(\d+\^\d+) row states exceed budget (\d+)"),
+        ],
+    )
+    def test_budget_fields_match_message(self, hs_graph, refuse, layer, pattern):
+        with pytest.raises(BudgetExceeded) as refused:
+            refuse(hs_graph)
+        e = refused.value
+        count, limit = re.fullmatch(pattern, str(e)).groups()
+        base, _, power = count.partition("^")
+        assert (e.layer, e.count, e.limit) == (layer, int(base) ** int(power or 1), int(limit))
 
     def test_window_budget(self):
         assert oracle.BudgetExceeded is BudgetExceeded
