@@ -11,23 +11,28 @@ w <= j <= n).  Cells are filled one at a time:
   s(i, j-1), which closes a compatible quadruple with its three upper-left
   neighbours.
 
-Greedy filling can dead-end for general forbidden sets, so the search
-backtracks chronologically over the schedule; with backtracking exhausted the
-target size is genuinely unrealizable.
+The fill is one flat loop over the offsets in schedule order
+(``presentation.fillings``).  A forced cell, with one candidate, is placed
+and the loop moves on without touching its stack; a cell with more is a
+choice point, which takes its first candidate and is pushed with the rest; a
+cell with none (greedy filling dead-ends for general forbidden sets) resumes
+at the last choice point with a candidate untried, and with none left no
+member of the target size exists.
+
+A seeded policy tries each cell's candidates in ``random.Random(seed).shuffle``
+order.  The loop makes shuffle's ``getrandbits`` draws itself, which costs
+less than calling it per cell; the seeded stream of blocks is part of the
+contract, so the draws must be shuffle's, bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .blocks import Block, ConstraintSystem
-from .presentation import Presentation, path_strips, walk
-
-
-class DeadEnd(RuntimeError):
-    """A cell had no candidates and backtracking was disabled or exhausted locally."""
+from .presentation import DeadEnd, Presentation, fillings, path_strips
 
 
 class NotRealizable(RuntimeError):
@@ -38,6 +43,7 @@ ROW_MAJOR = "row-major"
 COL_MAJOR = "col-major"
 INTERLEAVED = "interleaved"
 SCHEDULES = (ROW_MAJOR, COL_MAJOR, INTERLEAVED)
+CHOOSERS = ("random", "ordered")
 
 
 @dataclass
@@ -153,7 +159,7 @@ def case_of(i: int, j: int, h: int, w: int) -> int:
 def _schedule_offsets(schedule: str, rows: int, cols: int) -> list[int]:
     """The flat offsets of a rows x cols identifier grid in fill order."""
     if schedule == ROW_MAJOR:
-        return [r * cols + c for r in range(rows) for c in range(cols)]
+        return list(range(rows * cols))
     if schedule == COL_MAJOR:
         return [r * cols + c for c in range(cols) for r in range(rows)]
     if schedule == INTERLEAVED:
@@ -171,62 +177,16 @@ def schedule_cells(schedule: str, m: int, n: int, h: int, w: int) -> list[tuple[
     return [(h + p // cols, w + p % cols) for p in _schedule_offsets(schedule, m - h + 1, cols)]
 
 
-def _candidates(g: Presentation, ids: list[int], p: int, cols: int) -> Sequence[int]:
-    """The identifiers that may occupy offset p of a flat grid whose
-    predecessors of p are filled: any vertex at the first cell, the red
-    successors of the left neighbour on the first row, the blue successors of
-    the upper one on the first column, and the completions of both inside."""
-    if p < cols:
-        return g.red.get(ids[p - 1], ()) if p else g.vertices
-    if p % cols:
-        return g.completions(ids[p - cols], ids[p - 1])
-    return g.blue.get(ids[p - cols], ())
-
-
 def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[int, ...]:
-    """Identifiers that may occupy cell (i, j) given its filled predecessors."""
+    """Identifiers that may occupy cell (i, j) given its filled predecessors,
+    by the case split of ``fillings`` (any vertex at the first cell)."""
     p, cols, ids = grid._check(i, j), grid.grid_cols, grid.ids
     if (p >= cols and not ids[p - cols]) or (p % cols and not ids[p - 1]):
         raise ValueError(f"a predecessor of ({i},{j}) is unfilled")
-    return tuple(_candidates(g, ids, p, cols))
-
-
-def _fillings(
-    g: Presentation,
-    grid: IdentifierGrid,
-    order: list[int],
-    policy: GenerationPolicy,
-    stats: GenerationStats | None,
-) -> Iterator[tuple[int, ...]]:
-    """Every way of filling the grid offsets in ``order``, depth first; the
-    grid holds each filling while it is yielded."""
-    ids, cols = grid.ids, grid.grid_cols
-    shuffle = random.Random(policy.seed).shuffle if policy.chooser == "random" else None
-
-    def options(path: list[int]) -> Sequence[int]:
-        t = len(path)
-        if t:
-            ids[order[t - 1]] = path[-1]
-            if stats is not None:
-                stats.steps += 1
-        p = order[t]
-        cand = _candidates(g, ids, p, cols)
-        if not cand:
-            if not policy.backtracking:
-                raise DeadEnd(f"no candidates at cell ({p // cols + g.system.h},{p % cols + g.system.w})")
-            if stats is not None:
-                stats.backtracks += 1
-        elif shuffle and len(cand) > 1:  # shuffling fewer draws nothing from the stream
-            cand = list(cand)
-            shuffle(cand)
-        return cand
-
-    for path in walk(len(order), options):
-        if path:
-            ids[order[-1]] = path[-1]
-            if stats is not None:
-                stats.steps += 1
-        yield path
+    was = ids[p]
+    cand = tuple(next(fillings(g, ids, [p], cols), ()))
+    ids[p] = was  # fillings placed the first candidate
+    return cand
 
 
 def _empty_offsets(grid: IdentifierGrid, schedule: str) -> list[int]:
@@ -244,12 +204,15 @@ def fill_grid(
     """Fill every empty cell of the grid in schedule order, backtracking over
     cells placed here (pre-filled cells are never revisited)."""
     policy = policy or GenerationPolicy()
+    if policy.chooser not in CHOOSERS:
+        raise ValueError(f"unknown chooser {policy.chooser!r}; expected one of {CHOOSERS}")
     if g.system.size == 0:
         raise NotRealizable("empty vertex set")
-    order = _empty_offsets(grid, policy.schedule)
-    if next(_fillings(g, grid, order, policy, stats), None) is None:
+    ids, order = grid.ids, _empty_offsets(grid, policy.schedule)
+    draw = random.Random(policy.seed).getrandbits if policy.chooser == "random" else None
+    if order and next(fillings(g, ids, order, grid.grid_cols, draw, stats, policy.backtracking), None) is None:
         for p in order:
-            grid.ids[p] = 0
+            ids[p] = 0
         raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
 
 
@@ -277,25 +240,12 @@ def enumerate_blocks(
 
     The DFS fills all cells but the last, the bottom-right one on every
     schedule; one block is stitched per such parent filling, and each further
-    completion of the last cell changes only its corner symbol."""
+    candidate of the last cell that shares the first's top and left overlaps
+    only swaps the corner symbol; any other is stitched in full."""
     grid = IdentifierGrid(g.system, m, n)
-    order = _empty_offsets(grid, schedule)
-    policy = GenerationPolicy(schedule, chooser="ordered")
-    ids, cols, last = grid.ids, grid.grid_cols, order[-1]
-    if grid.grid_rows == 1 or cols == 1:  # the last cell is no interior one: stitch every block
-        for _ in _fillings(g, grid, order, policy, stats):
-            yield grid.to_block()
-        return
-    t = g.system.overlaps
-    for _ in _fillings(g, grid, order[:-1], policy, stats):
-        leaves = _candidates(g, ids, last, cols)
-        if not leaves:
-            if stats is not None:
-                stats.backtracks += 1
-            continue
-        ids[last] = leaves[0]
-        if stats is not None:
-            stats.steps += 1
+    ids, t = grid.ids, g.system.overlaps
+    order = _schedule_offsets(schedule, grid.grid_rows, grid.grid_cols)
+    for leaves in fillings(g, ids, order, grid.grid_cols, stats=stats):
         block = grid.to_block()  # checks the whole grid
         yield block
         head, tail = block.rows[:-1], block.rows[-1][:-1]
@@ -306,7 +256,7 @@ def enumerate_blocks(
             if t.top[d] == top and t.left[d] == left:  # agrees where the first leaf does
                 yield Block.stitched(head + (tail + (t.corner[d],),))
             else:  # the full stitch names the cell the windows disagree on
-                ids[last] = d
+                ids[order[-1]] = d
                 yield grid.to_block()
 
 

@@ -20,9 +20,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
+
+if TYPE_CHECKING:
+    from .generation import GenerationStats  # generation imports this module
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
@@ -219,30 +222,83 @@ def class_connections(g: Presentation) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) for u, vs in g.blue.items() for v in vs)
 
 
-def walk(length: int, options: Callable[[list[int]], Iterable[int]]) -> Iterator[tuple[int, ...]]:
-    """Every identifier sequence s of the given length with s[t] in options(s[:t]).
+class DeadEnd(RuntimeError):
+    """A cell had no candidates and backtracking was disabled or exhausted locally."""
 
-    Depth first, in the order ``options`` returns its candidates; it is called
-    once per prefix shorter than ``length``, with the live prefix list, which
-    it may read but not keep.  An explicit stack of candidate iterators takes
-    the place of recursion, so no length reaches the recursion limit.
+
+def fillings(
+    g: Presentation,
+    ids: list[int],
+    order: Sequence[int],
+    cols: int,
+    getrandbits: Callable[[int], int] | None = None,
+    stats: GenerationStats | None = None,
+    backtracking: bool = True,
+) -> Iterator[Sequence[int]]:
+    """Every filling of the offsets ``order`` of the flat grid ``ids``
+    (``cols`` wide, as in ``IdentifierGrid``), depth first: for each filling
+    of all of them but the last, the candidates of the last, while the grid
+    holds that filling and the first candidate at the last offset.
+
+    Candidates follow the case split of ``ftcs2d.generation`` (every vertex
+    at offset 0), which also describes choice points, dead ends (``DeadEnd``
+    without ``backtracking``) and the draws: with ``getrandbits`` a cell tries
+    its candidates in ``random.Random.shuffle`` order, from the same draws.
+    ``stats`` counts identifiers placed and cells with no candidate.
     """
-    if length == 0:
-        yield ()
-        return
-    path: list[int] = []
-    stack = [iter(options(path))]
-    while stack:
-        k = next(stack[-1], None)
-        if k is None:
-            stack.pop()
-            if path:
-                path.pop()
-        elif len(path) + 1 == length:
-            yield (*path, k)
+    red, blue, completions, vertices = g.red.get, g.blue.get, g.completions, g.vertices
+    last = len(order) - 1
+    stack: list[tuple[int, Sequence[int], int]] = []  # (t, candidates, next to try) while one is untried
+    t = base = 0  # the cells at base..t-1 were placed since stats was last updated
+    while True:
+        p = order[t]
+        if p < cols:
+            cand = red(ids[p - 1], ()) if p else vertices
+        elif p % cols:
+            cand = completions(ids[p - cols], ids[p - 1])
         else:
-            path.append(k)
-            stack.append(iter(options(path)))
+            cand = blue(ids[p - cols], ())
+        n = len(cand)
+        if n > 1:
+            if n == 2 and getrandbits:  # the commonest choice: shuffle's one draw, below 2 from 2 bits
+                r = getrandbits(2)
+                while r > 1:
+                    r = getrandbits(2)
+                if not r:
+                    cand = cand[1], cand[0]
+            elif getrandbits:  # item i swaps with a draw below i + 1, for i = n-1 down to 1
+                cand = [*cand]
+                for i in range(n - 1, 0, -1):
+                    k = (i + 1).bit_length()
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    cand[i], cand[j] = cand[j], cand[i]
+            if t < last:
+                stack.append((t, cand, 1))
+                ids[p] = cand[0]
+                t += 1
+                continue
+        elif n and t < last:  # a forced cell skips the stack
+            ids[p] = cand[0]
+            t += 1
+            continue
+        if stats is not None:
+            stats.steps += t - base + (n > 0)
+        if n:
+            ids[p] = cand[0]
+            yield cand
+        elif not backtracking:
+            raise DeadEnd(f"no candidates at cell ({p // cols + g.system.h},{p % cols + g.system.w})")
+        elif stats is not None:
+            stats.backtracks += 1
+        if not stack:
+            return
+        base, cand, i = stack.pop()
+        if i + 1 < len(cand):
+            stack.append((base, cand, i + 1))
+        ids[order[base]] = cand[i]
+        t = base + 1
 
 
 def path_strips(
@@ -251,36 +307,30 @@ def path_strips(
     """Every strip spelled by a path from a head: its head window, then the
     label of each later window (see ``Overlaps``).  A ``blue`` path spells an
     m x w strip (``size`` is m), a red one an h x n strip (``size`` is n).
-    With ``rng`` the successors of each vertex are shuffled before they are tried.
-    Each path's parent (all of it but its last window) is spelled once, and
-    each path adds its last label to the parent's rows.
+    Paths are filled by ``fillings`` as one-column or one-row grids, head by
+    head; with ``rng`` each vertex's successors are tried in ``rng.shuffle``
+    order, drawn through ``rng.getrandbits`` (so for ``random.Random`` and
+    any generator whose ``_randbelow`` reads it).  Each path's parent (all of
+    it but its last window) is spelled once, and each path adds its last
+    label to the parent's rows.
     """
     cs, t = g.system, g.system.overlaps
     side, window = ("height", cs.h) if blue else ("width", cs.w)
-    out, spell, labels = (g.blue_out, t.blue_strip, t.blue) if blue else (g.red_out, t.red_strip, cs.red_cells)
+    spell, labels = (t.blue_strip, t.blue) if blue else (t.red_strip, cs.red_cells)
     if size < window:
         raise ValueError(f"strip {side} {size} below window {side} {window}")
     for u in heads:
         cs.block(u)  # range check
-
-    def options(path: Sequence[int]) -> Sequence[int]:
-        if not path:
-            return heads
-        if rng is None:
-            return out(path[-1])
-        succ = list(out(path[-1]))
-        rng.shuffle(succ)
-        return succ
-
     if size == window:
         yield from (Block.stitched(t.rows[u]) for u in heads)
         return
-    for parent in walk(size - window, options):
-        leaves = options(parent)  # the call, and the shuffle, that walk makes when it pushes the parent
-        if not leaves:
-            continue
-        rows = spell(parent)
-        if blue:
-            yield from (Block.stitched(rows + (labels[v],)) for v in leaves)
-        else:
-            yield from (Block.stitched(tuple(map(add, rows, labels[v]))) for v in leaves)
+    ids = [0] * (size - window + 1)
+    draw = rng.getrandbits if rng is not None else None
+    for u in heads:
+        ids[0] = u
+        for leaves in fillings(g, ids, range(1, len(ids)), 1 if blue else len(ids), draw):
+            rows = spell(ids[:-1])
+            if blue:
+                yield from (Block.stitched(rows + (labels[v],)) for v in leaves)
+            else:
+                yield from (Block.stitched(tuple(map(add, rows, labels[v]))) for v in leaves)

@@ -134,6 +134,9 @@ class TestCandidates:
         cand = candidates(hs_graph, grid, 3, 3)
         table = hs_graph.quadruple_table
         assert cand == table.completions(k, grid.get(2, 3), grid.get(3, 2))
+        assert not grid.filled(3, 3)  # candidates places nothing
+        grid.set(3, 3, cand[-1])
+        assert candidates(hs_graph, grid, 3, 3) == cand and grid.get(3, 3) == cand[-1]
 
     def test_unfilled_predecessor(self, hard_square, hs_graph):
         grid = IdentifierGrid(hard_square, 3, 3)
@@ -210,6 +213,17 @@ class TestGenerateBlock:
         g = build(cs)
         with pytest.raises(NotRealizable):
             generate_block(g, 3, 3)
+
+    def test_unknown_chooser(self, hard_square, hs_graph):
+        """A misspelt chooser is refused before any cell is placed, not read as "ordered"."""
+        grid = IdentifierGrid(hard_square, 4, 4)
+        stats = GenerationStats()
+        with pytest.raises(ValueError, match=r"unknown chooser 'randm'.*'random', 'ordered'"):
+            fill_grid(hs_graph, grid, GenerationPolicy(chooser="randm"), stats)
+        assert not any(grid.ids) and stats == GenerationStats()
+        empty = build(ConstraintSystem(Alphabet("01"), 2, 2, all_blocks(2, 2, 2)))
+        with pytest.raises(ValueError, match="unknown chooser"):  # not NotRealizable: checked first
+            generate_block(empty, 3, 3, GenerationPolicy(chooser="Random"))
 
     def test_seed_determinism(self, hs_graph):
         p1 = GenerationPolicy(seed=123)

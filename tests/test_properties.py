@@ -15,6 +15,7 @@ from ftcs2d import (
     Alphabet,
     Block,
     ConstraintSystem,
+    DeadEnd,
     GenerationPolicy,
     GenerationStats,
     IdentifierGrid,
@@ -38,6 +39,7 @@ from ftcs2d import (
 )
 from ftcs2d.fileformat import format_system, parse_system
 from ftcs2d.generation import SCHEDULES, enumerate_col_strips, enumerate_row_strips, fill_grid, schedule_cells
+from ftcs2d.presentation import fillings
 
 MAX_CANDIDATES = 4096  # q ** (m * n) for the oracle's scan, to keep the suite fast
 
@@ -202,6 +204,109 @@ def test_generate_block_member_or_not_realizable(cs, m_extra, n_extra, seed, sch
         b = generate_block(g, m, n, policy)
         assert (b.height, b.width) == (m, n)
         assert cs.is_member(b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.one_of(st.sampled_from((2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65)), st.integers(0, 70)),
+)
+@example(seed=0, n=2)
+def test_inline_draws_equal_shuffle(seed, n):
+    """The fill's own draws over a cell's candidates leave them in the order
+    ``random.Random.shuffle`` does and consume the same bits: the second cell
+    of a one-row grid, whose candidates are n red successors of the first."""
+    items = list(range(10, 10 + n))
+    g = Presentation(FREE, {}, {1: tuple(items)})
+    want, got = random.Random(seed), random.Random(seed)
+    want.shuffle(items)
+    assert list(next(fillings(g, [1, 0], [1], 2, got.getrandbits), ())) == items
+    assert got.getrandbits(64) == want.getrandbits(64)
+
+
+def reference_fill(g, grid, policy, stats):
+    """``fill_grid`` written out: a recursive DFS over the empty cells in
+    schedule order, trying the ``candidates`` of each in
+    ``random.Random(seed).shuffle`` order (as they come when ordered)."""
+    cs, cols = g.system, grid.grid_cols
+    cells = [c for c in schedule_cells(policy.schedule, grid.m, grid.n, cs.h, cs.w) if not grid.filled(*c)]
+    rng = random.Random(policy.seed)
+
+    def fill(t):
+        if t == len(cells):
+            return True
+        options = list(candidates(g, grid, *cells[t]))
+        if not options:
+            if not policy.backtracking:
+                raise DeadEnd(f"no candidates at cell ({cells[t][0]},{cells[t][1]})")
+            stats.backtracks += 1
+        if policy.chooser == "random":
+            rng.shuffle(options)
+        for k in options:
+            grid.set(*cells[t], k)
+            stats.steps += 1
+            if fill(t + 1):
+                return True
+        return False
+
+    if cs.size == 0:
+        raise NotRealizable("empty vertex set")
+    if not fill(0):
+        for i, j in cells:
+            grid.ids[(i - cs.h) * cols + j - cs.w] = 0
+        raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
+
+
+def fill_outcome(fill, g, grid, policy):
+    """What a fill leaves: the grid's identifiers, its counters and its error text."""
+    stats = GenerationStats()
+    try:
+        fill(g, grid, policy, stats)
+        error = None
+    except (DeadEnd, NotRealizable) as e:
+        error = f"{type(e).__name__}: {e}"
+    return grid.ids, stats, error
+
+
+@walker_settings
+@given(
+    cs=systems(),
+    m_extra=extras,
+    n_extra=extras,
+    seed=st.integers(0, 2**32 - 1),
+    prefilled=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 80)), max_size=3),
+)
+@example(cs=FREE, m_extra=1, n_extra=1, seed=0, prefilled=[])
+@example(cs=FREE, m_extra=2, n_extra=1, seed=1, prefilled=[(0, 0)])
+@example(cs=EMPTY, m_extra=1, n_extra=1, seed=0, prefilled=[])
+@example(cs=ROW_WINDOW, m_extra=0, n_extra=3, seed=2, prefilled=[(0, 4), (2, 1)])
+@example(cs=COL_WINDOW, m_extra=3, n_extra=0, seed=3, prefilled=[(0, 1)])
+def test_fill_matches_reference_dfs(cs, m_extra, n_extra, seed, prefilled):
+    """On every schedule, chooser and backtracking setting: ``generate_block``
+    and the reference give the same block, counters and error text, and so
+    does ``fill_grid`` on a grid with pre-filled cells (offset p % cells gets
+    identifier k % |A_F| + 1), where the first empty cell need not be the
+    grid's first."""
+    m, n = sizes(cs, m_extra, n_extra)
+    g = build(cs)
+    for schedule, chooser, backtracking in product(SCHEDULES, ("random", "ordered"), (True, False)):
+        policy = GenerationPolicy(schedule, chooser, backtracking, seed)
+        got_stats = GenerationStats()
+        try:
+            got = generate_block(g, m, n, policy, got_stats)
+        except (DeadEnd, NotRealizable) as e:
+            got = f"{type(e).__name__}: {e}"
+        grid = IdentifierGrid(cs, m, n)
+        _, want_stats, error = fill_outcome(reference_fill, g, grid, policy)
+        assert (got, got_stats) == (error or grid.to_block(), want_stats)
+        outcomes = []
+        for fill in (fill_grid, reference_fill):
+            grid = IdentifierGrid(cs, m, n)
+            for p, k in prefilled if cs.size else ():
+                p %= len(grid.ids)
+                grid.set(cs.h + p // grid.grid_cols, cs.w + p % grid.grid_cols, k % cs.size + 1)
+            outcomes.append(fill_outcome(fill, g, grid, policy))
+        assert outcomes[0] == outcomes[1]
 
 
 @walker_settings
