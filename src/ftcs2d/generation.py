@@ -57,7 +57,9 @@ class GenerationPolicy:
 @dataclass
 class GenerationStats:
     """Counters of a fill: ``steps`` counts identifiers placed, ``backtracks``
-    counts cells reached with no candidate."""
+    counts cells reached with no candidate.  A pre-filled cell is no step,
+    since the fill places nothing there; one that its neighbours rule out
+    counts as a backtrack."""
 
     steps: int = 0
     backtracks: int = 0
@@ -189,12 +191,6 @@ def candidates(g: Presentation, grid: IdentifierGrid, i: int, j: int) -> tuple[i
     return cand
 
 
-def _empty_offsets(grid: IdentifierGrid, schedule: str) -> list[int]:
-    """The offsets of the grid's empty cells, in schedule order."""
-    ids = grid.ids
-    return [p for p in _schedule_offsets(schedule, grid.grid_rows, grid.grid_cols) if not ids[p]]
-
-
 def fill_grid(
     g: Presentation,
     grid: IdentifierGrid,
@@ -202,17 +198,19 @@ def fill_grid(
     stats: GenerationStats | None = None,
 ) -> None:
     """Fill every empty cell of the grid in schedule order, backtracking over
-    cells placed here (pre-filled cells are never revisited)."""
+    cells placed here.  A pre-filled cell is kept where the case split of its
+    neighbours allows it, and is a dead end where it does not."""
     policy = policy or GenerationPolicy()
     if policy.chooser not in CHOOSERS:
         raise ValueError(f"unknown chooser {policy.chooser!r}; expected one of {CHOOSERS}")
     if g.system.size == 0:
         raise NotRealizable("empty vertex set")
-    ids, order = grid.ids, _empty_offsets(grid, policy.schedule)
+    ids, order = grid.ids, _schedule_offsets(policy.schedule, grid.grid_rows, grid.grid_cols)
+    pinned = [ids[p] for p in order] if any(ids) else ()
     draw = random.Random(policy.seed).getrandbits if policy.chooser == "random" else None
-    if order and next(fillings(g, ids, order, grid.grid_cols, draw, stats, policy.backtracking), None) is None:
-        for p in order:
-            ids[p] = 0
+    if next(fillings(g, ids, order, grid.grid_cols, draw, stats, policy.backtracking, pinned), None) is None:
+        for p, k in zip(order, pinned or [0] * len(order)):
+            ids[p] = k
         raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
 
 
@@ -294,32 +292,21 @@ def is_generated(g: Presentation, b: Block) -> bool:
     """True iff every window is a vertex and adjacent windows are edge-connected.
 
     Equivalent to: every full-height width-w strip of b is a blue path and every
-    full-width height-h strip is a red path.  Windows are looked up by code, one
-    row of windows at a time; a symbol outside the alphabet is no vertex.
-
-    A colour that is the overlap relation (``Presentation.overlap_colours``)
-    needs no check: a window and the one below it share rows i+1..i+h-1 of b,
-    which are the bottom overlap of the first and the top overlap of the
-    second, so a blue edge joins them whenever both are vertices; likewise the
-    shared columns give a red edge to the right.  Any other colour is checked
-    pair by pair.
+    full-width height-h strip is a red path.  The edges are the overlap
+    relation, so this is one membership scan (``ConstraintSystem.is_member``):
+    a window and the one below it share rows i+1..i+h-1 of b, which are the
+    bottom overlap of the first and the top overlap of the second, so a blue
+    edge joins them whenever both are vertices; likewise the shared columns
+    give a red edge to the right.  A view without red generates only blocks
+    one window wide, one without blue only blocks one window high.  A symbol
+    outside the alphabet is no vertex.
     """
     cs = g.system
     if b.height < cs.h or b.width < cs.w:
         raise ValueError(f"block {b.height}x{b.width} below window size {cs.h}x{cs.w}")
+    if (b.width > cs.w and not g.with_red) or (b.height > cs.h and not g.with_blue):
+        return False
     try:
-        window_rows = cs.window_codes(b)
+        return cs.is_member(b)
     except ValueError:
         return False
-    known = cs.code_to_id
-    blue, red = g.overlap_colours
-    above: list[int] = []  # the identifiers of the row of windows above
-    for codes in window_rows:
-        if not all(map(known.__contains__, codes)):
-            return False
-        if not (blue and red):
-            ids = list(map(known.__getitem__, codes))
-            if not (red or all(map(g.has_red, ids, ids[1:]))) or not (blue or all(map(g.has_blue, above, ids))):
-                return False
-            above = ids
-    return True

@@ -7,9 +7,9 @@ u -> v appends one column under the mirrored h x (w-1) overlap, labelled by
 the w-th column of block(v).  For h = 1 (resp. w = 1) the overlap is empty and
 the blue (resp. red) relation is complete, self-loops included.
 
-A presentation carries both edge sets over the shared vertex set; the row
-(blue) and column (red) presentations are the same record with the other
-colour left empty, and every consumer reads the colour it needs.
+A presentation is the system plus the colours it has, and its edges are the
+overlap relation, listed on first use; the row (blue) and column (red)
+presentations are the same record with the other colour left out.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -30,8 +30,19 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, eq=False)
 class Presentation:
     system: ConstraintSystem
-    blue: dict[int, tuple[int, ...]]  # ascending successor lists
-    red: dict[int, tuple[int, ...]]
+    _: KW_ONLY
+    with_blue: bool = True
+    with_red: bool = True
+
+    @cached_property
+    def blue(self) -> dict[int, tuple[int, ...]]:
+        """Ascending successor lists of the overlap relation, built on first use; none without blue."""
+        return _successors_by_overlap(self.system.overlaps.top, self.system.overlaps.bottom) if self.with_blue else {}
+
+    @cached_property
+    def red(self) -> dict[int, tuple[int, ...]]:
+        """Ascending successor lists of the overlap relation, built on first use; none without red."""
+        return _successors_by_overlap(self.system.overlaps.left, self.system.overlaps.right) if self.with_red else {}
 
     @property
     def vertices(self) -> range:
@@ -50,14 +61,6 @@ class Presentation:
 
     def red_out(self, u: int) -> tuple[int, ...]:
         return self.red.get(u, ())
-
-    @cached_property
-    def overlap_colours(self) -> tuple[bool, bool]:
-        """Whether the blue and the red successor lists are the overlap relation,
-        as ``row_presentation`` and ``column_presentation`` build them (compared
-        by content, so a copy of them counts too); built on first use."""
-        t = self.system.overlaps
-        return self.blue == _successors_by_overlap(t.top, t.bottom), self.red == _successors_by_overlap(t.left, t.right)
 
     def _classes(self, out: dict[int, tuple[int, ...]]) -> list[int]:
         first: dict[tuple[int, ...], int] = {}
@@ -105,7 +108,7 @@ class Presentation:
         and identifiers outside 1..size find no key; a one-colour view has none.
         """
         t, n = self.system.overlaps, self.system.size + 1
-        ds = range(1, n) if self.blue and self.red else range(0)
+        ds = range(1, n) if self.with_blue and self.with_red else range(0)
         top_id, left_id = {}, {}  # each overlap's first window
         index: dict[int, tuple[int, ...]] = defaultdict(tuple)  # at most q windows per key, one per corner
         for d in ds:
@@ -136,19 +139,19 @@ def _successors_by_overlap(leading: list, trailing: list) -> dict[int, tuple[int
 
 def row_presentation(cs: ConstraintSystem) -> Presentation:
     """Blue edges only: u -> v iff the last h-1 rows of u equal the first h-1 rows of v."""
-    return Presentation(cs, _successors_by_overlap(cs.overlaps.top, cs.overlaps.bottom), {})
+    return Presentation(cs, with_red=False)
 
 
 def column_presentation(cs: ConstraintSystem) -> Presentation:
     """Red edges only: u -> v iff the last w-1 columns of u equal the first w-1 columns of v."""
-    return Presentation(cs, {}, _successors_by_overlap(cs.overlaps.left, cs.overlaps.right))
+    return Presentation(cs, with_blue=False)
 
 
 def combined(gr: Presentation, gc: Presentation) -> Presentation:
     """The blue edges of gr and the red edges of gc over their shared vertices."""
     if gr.system is not gc.system:
         raise ValueError("presentations built from different systems")
-    return Presentation(gr.system, gr.blue, gc.red)
+    return Presentation(gr.system, with_blue=gr.with_blue, with_red=gc.with_red)
 
 
 def build(cs: ConstraintSystem) -> Presentation:
@@ -234,6 +237,7 @@ def fillings(
     getrandbits: Callable[[int], int] | None = None,
     stats: GenerationStats | None = None,
     backtracking: bool = True,
+    pinned: Sequence[int] = (),
 ) -> Iterator[Sequence[int]]:
     """Every filling of the offsets ``order`` of the flat grid ``ids``
     (``cols`` wide, as in ``IdentifierGrid``), depth first: for each filling
@@ -245,6 +249,9 @@ def fillings(
     without ``backtracking``) and the draws: with ``getrandbits`` a cell tries
     its candidates in ``random.Random.shuffle`` order, from the same draws.
     ``stats`` counts identifiers placed and cells with no candidate.
+    ``pinned``, if given, holds an identifier or 0 per offset of ``order``: a
+    pinned cell keeps its identifier where its candidates hold it, and is a
+    dead end where they do not; keeping it is no step.
     """
     red, blue, completions, vertices = g.red.get, g.blue.get, g.completions, g.vertices
     last = len(order) - 1
@@ -258,6 +265,10 @@ def fillings(
             cand = completions(ids[p - cols], ids[p - 1])
         else:
             cand = blue(ids[p - cols], ())
+        if pinned and pinned[t]:  # kept, not placed: the step counted for it below is taken back
+            cand = (pinned[t],) if pinned[t] in cand else ()
+            if cand and stats is not None:
+                stats.steps -= 1
         n = len(cand)
         if n > 1:
             if n == 2 and getrandbits:  # the commonest choice: shuffle's one draw, below 2 from 2 bits

@@ -293,6 +293,32 @@ class TestGenerateBlock:
         assert (grid.get(2, 2), grid.get(4, 2)) == (first, low)
         assert [c for c in schedule_cells(ROW_MAJOR, 4, 3, 2, 2) if grid.filled(*c)] == [(2, 2), (4, 2)]
 
+    def test_prefilled_window_is_checked(self, hard_square, hs_graph):
+        # window 01/00 at (2, 3) of a 3x4 target fixes cells (1, 2) and (2, 2)
+        # of the target to 0; the window filled before it, at (2, 2), may hold a 1 there
+        k = hard_square.identifier(Block(((0, 1), (0, 0))))
+        for seed in range(20):
+            grid = IdentifierGrid(hard_square, 3, 4)
+            grid.set(2, 3, k)
+            fill_grid(hs_graph, grid, GenerationPolicy(seed=seed))
+            b = grid.to_block()
+            assert hard_square.is_member(b) and b.subblock(1, 2, 2, 2) == hard_square.block(k)
+
+    def test_prefilled_grid_is_checked(self, hard_square, hs_graph):
+        # a full grid whose two windows disagree on the target's column 2
+        grid = IdentifierGrid(hard_square, 2, 3)
+        grid.set(2, 2, all_zero_id(hard_square))
+        grid.set(2, 3, hard_square.identifier(Block(((1, 0), (0, 0)))))
+        kept = list(grid.ids)
+        with pytest.raises(NotRealizable):
+            fill_grid(hs_graph, grid)
+        with pytest.raises(DeadEnd, match=r"no candidates at cell \(2,3\)"):
+            fill_grid(hs_graph, grid, GenerationPolicy(backtracking=False))
+        assert grid.ids == kept
+        grid.set(2, 3, all_zero_id(hard_square))
+        fill_grid(hs_graph, grid)
+        assert hard_square.is_member(grid.to_block())
+
     def test_resize_shrink_rejected(self, hard_square):
         grid = IdentifierGrid(hard_square, 3, 3)
         with pytest.raises(ValueError):
@@ -414,7 +440,7 @@ class TestLargeWindowSpace:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained < 1 << 20 and g.overlap_colours == (True, True)
+        assert retained < 1 << 20
 
 
 class TestReconstruction:

@@ -4,6 +4,7 @@ from ftcs2d import (
     Alphabet,
     Block,
     ConstraintSystem,
+    Presentation,
     all_blocks,
     build,
     class_connections,
@@ -74,6 +75,13 @@ class TestCombined:
         gc = column_presentation(hard_square)
         g = combined(gr, gc)
         assert g.blue == gr.blue and g.red == gc.red
+
+    def test_constructor_takes_no_edges(self, hs_graph):
+        # the edges are the overlap relation; a view only says which colours it has
+        with pytest.raises(TypeError):
+            Presentation(hs_graph.system, dict(hs_graph.blue), dict(hs_graph.red))
+        view = Presentation(hs_graph.system, with_red=False)
+        assert view.blue == hs_graph.blue and view.red == {}
 
     def test_system_mismatch(self, hard_square, free_system):
         gr = row_presentation(hard_square)

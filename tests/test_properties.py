@@ -2,7 +2,9 @@
 oracle, and the window-code scans against naive per-window scans, on random
 small systems including the degenerate ones."""
 
+import functools
 import random
+import string
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -206,6 +208,18 @@ def test_generate_block_member_or_not_realizable(cs, m_extra, n_extra, seed, sch
         assert cs.is_member(b)
 
 
+# enough non-whitespace symbols for the 72 of the largest draw system
+SYMBOLS = string.ascii_letters + string.digits + "!#$%&*+-./:;<=>?@^_~"
+
+
+@functools.lru_cache(maxsize=None)
+def draw_graph(n):
+    """A 1 x 2 system over n + 2 symbols with ``aa`` and ``ab`` forbidden, so
+    that window ``ba`` has the n red successors ``a?`` left."""
+    alphabet = Alphabet(SYMBOLS[: n + 2])
+    return build(ConstraintSystem(alphabet, 1, 2, [alphabet.parse_block(["aa"]), alphabet.parse_block(["ab"])]))
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -215,27 +229,33 @@ def test_generate_block_member_or_not_realizable(cs, m_extra, n_extra, seed, sch
 def test_inline_draws_equal_shuffle(seed, n):
     """The fill's own draws over a cell's candidates leave them in the order
     ``random.Random.shuffle`` does and consume the same bits: the second cell
-    of a one-row grid, whose candidates are n red successors of the first."""
-    items = list(range(10, 10 + n))
-    g = Presentation(FREE, {}, {1: tuple(items)})
+    of a one-row grid whose first cell is ``ba`` (see ``draw_graph``)."""
+    g = draw_graph(n)
+    head = g.system.identifier(g.system.alphabet.parse_block(["ba"]))
+    items = list(g.red_out(head))
+    assert len(items) == n
     want, got = random.Random(seed), random.Random(seed)
     want.shuffle(items)
-    assert list(next(fillings(g, [1, 0], [1], 2, got.getrandbits), ())) == items
+    assert list(next(fillings(g, [head, 0], [1], 2, got.getrandbits), ())) == items
     assert got.getrandbits(64) == want.getrandbits(64)
 
 
 def reference_fill(g, grid, policy, stats):
-    """``fill_grid`` written out: a recursive DFS over the empty cells in
-    schedule order, trying the ``candidates`` of each in
-    ``random.Random(seed).shuffle`` order (as they come when ordered)."""
+    """``fill_grid`` written out: a recursive DFS over the cells in schedule
+    order, trying the ``candidates`` of each in ``random.Random(seed).shuffle``
+    order (as they come when ordered); a pre-filled cell keeps its identifier
+    if the candidates hold it, and has no option otherwise."""
     cs, cols = g.system, grid.grid_cols
-    cells = [c for c in schedule_cells(policy.schedule, grid.m, grid.n, cs.h, cs.w) if not grid.filled(*c)]
+    cells = schedule_cells(policy.schedule, grid.m, grid.n, cs.h, cs.w)
+    pre = {c: grid.get(*c) for c in cells if grid.filled(*c)}
     rng = random.Random(policy.seed)
 
     def fill(t):
         if t == len(cells):
             return True
         options = list(candidates(g, grid, *cells[t]))
+        if cells[t] in pre:
+            options = [k for k in options if k == pre[cells[t]]]
         if not options:
             if not policy.backtracking:
                 raise DeadEnd(f"no candidates at cell ({cells[t][0]},{cells[t][1]})")
@@ -244,7 +264,7 @@ def reference_fill(g, grid, policy, stats):
             rng.shuffle(options)
         for k in options:
             grid.set(*cells[t], k)
-            stats.steps += 1
+            stats.steps += cells[t] not in pre
             if fill(t + 1):
                 return True
         return False
@@ -253,7 +273,7 @@ def reference_fill(g, grid, policy, stats):
         raise NotRealizable("empty vertex set")
     if not fill(0):
         for i, j in cells:
-            grid.ids[(i - cs.h) * cols + j - cs.w] = 0
+            grid.ids[(i - cs.h) * cols + j - cs.w] = pre.get((i, j), 0)
         raise NotRealizable(f"no {grid.m}x{grid.n} member exists")
 
 
@@ -286,7 +306,7 @@ def test_fill_matches_reference_dfs(cs, m_extra, n_extra, seed, prefilled):
     and the reference give the same block, counters and error text, and so
     does ``fill_grid`` on a grid with pre-filled cells (offset p % cells gets
     identifier k % |A_F| + 1), where the first empty cell need not be the
-    grid's first."""
+    grid's first; every grid a fill returns stitches to a member."""
     m, n = sizes(cs, m_extra, n_extra)
     g = build(cs)
     for schedule, chooser, backtracking in product(SCHEDULES, ("random", "ordered"), (True, False)):
@@ -306,6 +326,8 @@ def test_fill_matches_reference_dfs(cs, m_extra, n_extra, seed, prefilled):
                 p %= len(grid.ids)
                 grid.set(cs.h + p // grid.grid_cols, cs.w + p % grid.grid_cols, k % cs.size + 1)
             outcomes.append(fill_outcome(fill, g, grid, policy))
+            if outcomes[-1][2] is None:
+                assert cs.is_member(grid.to_block())
         assert outcomes[0] == outcomes[1]
 
 
@@ -443,32 +465,14 @@ def test_identifier_matches_naive(case):
 @scan_settings
 @given(case=system_and_block(at_least_window=True), data=st.data())
 def test_is_generated_matches_naive(case, data):
-    """Also on a graph with one edge the block walks removed: adjacent windows
-    of a block always overlap, so only a missing edge tells the walk check
-    from a plain membership scan."""
+    """Also on systems that allow every window of the block, so that the walk
+    reaches its last window."""
     cs, b = case
     if data.draw(st.booleans()):  # allow b's windows, so that every one is a vertex
         allowed = {win for _, win in naive_windows(b, cs.h, cs.w)}
         cs = ConstraintSystem(cs.alphabet, cs.h, cs.w, cs.forbidden - allowed)
     g = build(cs)
-    ids = {(i, j): naive_identifier(cs, win) for (i, j), win in naive_windows(b, cs.h, cs.w)}
-    walked = sorted(
-        (colour, k, ids[nxt])
-        for (i, j), k in ids.items()
-        for colour, nxt in (("red", (i, j + 1)), ("blue", (i + 1, j)))
-        if nxt in ids and None not in (k, ids[nxt])
-    )
-    if walked and data.draw(st.booleans()):
-        colour, u, v = data.draw(st.sampled_from(walked))
-        edges = {"blue": dict(g.blue), "red": dict(g.red)}
-        edges[colour][u] = tuple(x for x in edges[colour][u] if x != v)
-        g = Presentation(cs, edges["blue"], edges["red"])
-    naive = None not in ids.values() and all(
-        ((i, j + 1) not in ids or g.has_red(k, ids[i, j + 1]))
-        and ((i + 1, j) not in ids or g.has_blue(k, ids[i + 1, j]))
-        for (i, j), k in ids.items()
-    )
-    assert is_generated(g, b) == naive
+    assert is_generated(g, b) == naive_walk(g, b)
 
 
 def naive_walk(g, b):
@@ -486,8 +490,8 @@ def naive_walk(g, b):
 @scan_settings
 @given(case=system_and_block())
 def test_is_generated_is_membership_on_overlap_graphs(case):
-    """On the graph, both one-colour views and a content-equal copy of the
-    graph against the naive pair walk; on the graph it is plain membership."""
+    """On the graph and both one-colour views against the naive pair walk; on
+    the graph it is plain membership."""
     cs, b = case
     g = build(cs)
     if b.height < cs.h or b.width < cs.w:
@@ -495,10 +499,25 @@ def test_is_generated_is_membership_on_overlap_graphs(case):
             is_generated(g, b)
         return
     assert is_generated(g, b) == cs.is_member(b)
-    copy = Presentation(cs, dict(g.blue), dict(g.red))
-    assert copy.overlap_colours == g.overlap_colours == (True, True)
-    for view in (g, copy, row_presentation(cs), column_presentation(cs)):
+    for view in (g, row_presentation(cs), column_presentation(cs)):
         assert is_generated(view, b) == naive_walk(view, b)
+
+
+@scan_settings
+@given(cs=window_systems(), data=st.data())
+def test_views_agree_with_oracle(cs, data):
+    """On the graph and both one-colour views, including windows of height or
+    width 1: the enumerated m x n blocks are the oracle's members that
+    ``is_generated`` accepts, once each, and the count is their number."""
+    q, h, w = cs.alphabet.size, cs.h, cs.w
+    shapes = [(m, n) for m in range(h, h + 3) for n in range(w, w + 3) if q ** (m * n) <= MAX_CANDIDATES]
+    m, n = data.draw(st.sampled_from(shapes))
+    members = list(enumerate_members(cs, m, n))
+    for view in (build(cs), row_presentation(cs), column_presentation(cs)):
+        want = {b for b in members if is_generated(view, b)}
+        got = list(enumerate_blocks(view, m, n))
+        assert len(got) == len(want) and set(got) == want
+        assert count_by_profile(view, m, n) == len(want)
 
 
 # (q, h, w) for q in 1..5 and h, w in 1..4 with at most 2^16 windows; their codes fit fields of 1 or 2 bytes
