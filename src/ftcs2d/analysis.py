@@ -11,21 +11,28 @@ condition.  Grids biject with member blocks, so the totals are member counts.
   a line, and a dict maps it to its number of partial grids, in exact Python
   integers.  The sweep starts under a wildcard line (0, under which every
   identifier fits); the sum at the end of line k is the count at k lines.
-* Lumping.  A frontier cell the sweep has passed is read only once more, by
-  the cell under it (rows) or right of it (columns), and only through its
-  successors of the colour that joins lines.  So it is kept as its class, the
-  first identifier with the same such successors (``blue_class`` for rows,
-  ``red_class`` for columns).  The cell just placed is kept whole, since the
-  next cell of its line also reads its other colour; a line's last cell is
-  lumped as it is placed.
+* Lumping.  Every field of a state holds a class: the first identifier that
+  agrees with the cell in all that later steps read of it.  A frontier cell
+  the sweep has passed is read only once more, by the cell under it (rows)
+  or right of it (columns), and only through its successors of the colour
+  that joins lines, so it is kept as ``blue_class`` (rows) or ``red_class``
+  (columns); a line's last cell is lumped to it as soon as it is placed.  Any
+  other cell just placed is read by the next cell of its line through its
+  successors of the other colour, and is then lumped; so until then it is
+  kept as ``pair_class``, which agrees on the successors of both colours.
 * Why it is exact.  What a step may place depends on a state only through
-  the entries it reads, and on each only through the successors kept.  So
+  the entries it reads, and on each only through what its class agrees on:
+  ``completions`` and the one-colour successors that ``fits`` falls back to
+  read only successors, the lump of a ``pair_class`` cell is the lump of the
+  cell, and ``closing`` reads a held cell only through its top overlap.  So
   the partial grids merged into one state have the same completions, one for
   one, and adding their counts changes no total.
 * Wrapped columns.  The last cell d of a column needs a blue edge d -> f to
-  its first cell f, held whole until then: d's bottom overlap is f's top one
-  (for m = 1, a blue self-loop, ``has_blue(d, d)``).  Line k totals the
-  height-m strips of width w + k - 1 with vertical wraparound.
+  its first cell f: d's bottom overlap is f's top one (for m = 1, a blue
+  self-loop, ``has_blue(d, d)``).  That is all the column reads of f again,
+  so f is held until then as ``top_class``, the first identifier with its
+  top overlap.  Line k totals the height-m strips of width w + k - 1 with
+  vertical wraparound.
 * Replay.  The moves a step adds to a state are a function of the state's
   key, so a line that starts on the same set of states as another makes the
   same transitions, only with other counts.  The first line starts under the
@@ -88,7 +95,7 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
     A state packs its cells into one int, ``bits`` bits per cell, the first
     lowest; a wrapped column's held first cell takes one more field above.  A
     cell d is placed from the cell p of the previous line at its position and
-    the cell b before it in its line.
+    the cell b before it in its line, each read from its class.
     """
     layer = f"wrapped column operator of height {length}" if wrapped else f"row operator of width {length}"
     cap = budget // length  # live states allowed
@@ -99,6 +106,7 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
 
     completions, blue, red = g.completions, g.blue.get, g.red.get
     bottom, top = g.system.overlaps.bottom, g.system.overlaps.top
+    pair, held = g.pair_class, g.top_class  # the just-placed cell; a wrapped column's first cell
     # rows: p above and b on the left; wrapped columns: p on the left and b above
     rep, lead, back = (g.red_class, red, blue) if wrapped else (g.blue_class, blue, red)
 
@@ -115,11 +123,11 @@ def _sweep(g: Presentation, length: int, lines: int, wrapped: bool, budget: int)
         ds = lead(k, ()) if k else every
         if length == 1:  # also the last cell
             return [rep[d] - k for d in ds if not wrapped or g.has_blue(d, d)]  # a blue self-loop
-        return [d + (d << length * bits if wrapped else 0) - k for d in ds]  # wrapped: and hold d
+        return [pair[d] + (held[d] << length * bits if wrapped else 0) - k for d in ds]  # wrapped: and hold d
 
     def inner(k: int) -> list[int]:  # reads b, p
         b = k & mask
-        return [rep[b] - k + (d << bits) for d in fits(k >> bits, b)]
+        return [rep[b] - k + (pair[d] << bits) for d in fits(k >> bits, b)]
 
     def last(k: int) -> list[int]:  # reads b, p
         b = k & mask

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 WINDOW_BUDGET = 1 << 20  # partial windows held at a cell; window codes listed by a complement
@@ -378,14 +378,25 @@ class ConstraintSystem:
         cells: dict[tuple, tuple] = {}
         return [None] + [cells.setdefault(c, tuple(zip(c))) for c in self.overlaps.red[1:]]
 
-    def window_codes(self, b: Block) -> Iterator[Sequence[int]]:
-        """Codes of b's h x w windows, one row at a time; ValueError for a symbol
-        outside the alphabet, whose digit would alias another window's code."""
+    @cached_property
+    def transposed_codes(self) -> frozenset[int]:
+        """The codes of the allowed windows' transposes (their cells read column
+        by column); built on first use."""
+        weights = [self.alphabet.size**k for k in reversed(range(self.h * self.w))]
+        return frozenset(sum(map(mul, weights, chain.from_iterable(zip(*b.rows)))) for b in self.allowed)
+
+    def window_codes(self, b: Block, *, by_columns: bool = False) -> Iterator[Sequence[int]]:
+        """Codes of b's h x w windows, one row at a time, or ``by_columns`` the
+        codes of their transposes, one column at a time (the rows of b's
+        transpose); ValueError for a symbol outside the alphabet, whose digit
+        would alias another window's code."""
         q = self.alphabet.size
         if not _in_alphabet(b.rows, q):
             raise ValueError(f"block uses a symbol outside 0..{q - 1}")
         if b.height < self.h or b.width < self.w:
             return iter(())
+        if by_columns:
+            return _window_rows([[r[j] for r in b.rows] for j in range(b.width)], q, self.w, self.h)
         return _window_rows(b.rows, q, self.h, self.w)
 
     @property
@@ -407,12 +418,22 @@ class ConstraintSystem:
         return self.code_to_id.get(next(_window_rows(b.rows, q, self.h, self.w))[0])
 
     def first_forbidden_window(self, b: Block) -> tuple[int, int] | None:
-        """Top-left corner of the first forbidden window in row-major scan, if any."""
-        known = self.code_to_id
-        for i, codes in enumerate(self.window_codes(b), 1):
+        """Top-left corner of the first forbidden window in row-major scan, if any.
+
+        A row of windows costs one packed int per block row whatever its width,
+        so a block taller than wide is scanned by columns instead, against the
+        transposed codes, and the first corner is the least over the columns.
+        """
+        tall = b.height > b.width
+        known = self.transposed_codes if tall else self.code_to_id
+        firsts = []  # by columns: each column's first forbidden corner
+        for k, codes in enumerate(self.window_codes(b, by_columns=tall), 1):
             if not all(map(known.__contains__, codes)):
-                return i, next(j for j, c in enumerate(codes, 1) if c not in known)
-        return None
+                first = next(i for i, c in enumerate(codes, 1) if c not in known)
+                if not tall:
+                    return k, first
+                firsts.append((first, k))
+        return min(firsts, default=None)
 
     def is_member(self, b: Block) -> bool:
         """True iff no h x w window of b is forbidden.

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from operator import add
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .blocks import Block, ConstraintSystem
 
@@ -62,19 +62,30 @@ class Presentation:
     def red_out(self, u: int) -> tuple[int, ...]:
         return self.red.get(u, ())
 
-    def _classes(self, out: dict[int, tuple[int, ...]]) -> list[int]:
-        first: dict[tuple[int, ...], int] = {}
-        return [0] + [first.setdefault(out.get(u, ()), u) for u in self.vertices]
+    def _classes(self, keys: Iterable[Hashable]) -> list[int]:
+        """Each vertex's class, given one key per vertex: the first vertex with its key (0 for 0)."""
+        first: dict[Hashable, int] = {}
+        return [0] + [first.setdefault(k, u) for u, k in zip(self.vertices, keys)]
 
     @cached_property
     def blue_class(self) -> list[int]:
         """blue_class[u]: the first identifier with the blue successors of u (0 for 0)."""
-        return self._classes(self.blue)
+        return self._classes(map(self.blue_out, self.vertices))
 
     @cached_property
     def red_class(self) -> list[int]:
         """red_class[u]: the first identifier with the red successors of u (0 for 0)."""
-        return self._classes(self.red)
+        return self._classes(map(self.red_out, self.vertices))
+
+    @cached_property
+    def pair_class(self) -> list[int]:
+        """pair_class[u]: the first identifier with the blue and the red successors of u (0 for 0)."""
+        return self._classes(zip(self.blue_class[1:], self.red_class[1:]))
+
+    @cached_property
+    def top_class(self) -> list[int]:
+        """top_class[u]: the first identifier with the top overlap of u (0 for 0)."""
+        return self._classes(self.system.overlaps.top[1:])
 
     def has_blue(self, u: int, v: int) -> bool:
         """Whether v is a blue successor of u, by bisecting u's successor list."""

@@ -47,20 +47,25 @@ class TestProfileCounting:
             count_by_profile(hs_graph, 3, 40, budget=100)
 
     def test_budget_counts_operator_built(self, hs_graph):
-        # 3x3 is two identifier rows of two cells; a passed cell is lumped to its
-        # blue class, which for hard square is its window's bottom row (00, 01, 10)
-        # first row, cell 1: 7 states, one per identifier
-        # first row, cell 2: both cells lumped, one state per bottom row of a 2x3
-        #   strip (000, 001, 010, 100, 101): 5 states holding 17 strips
-        # second row, cell 1: the new cell (block rows 2-3, columns 1-2) and the
-        #   class of the cell above-right (block row 2, columns 2-3): block row 2
-        #   is one of those 5 rows, and block row 3 at columns 1-2 (00, 01 or 10)
-        #   has no 1 under a 1 of it: 3 + 3 + 2 + 2 + 2 = 12 states
-        # second row, cell 2: one state per bottom row again, 5 states (63 members)
-        # peak: 12 live states of 2 cells, a charge of 24
-        assert count_by_profile(hs_graph, 3, 3, budget=24) == 63
-        with pytest.raises(BudgetExceeded, match="^row operator of width 2: 12 live states of 2 cells exceed budget 23$"):
-            count_by_profile(hs_graph, 3, 3, budget=23)
+        # 3x3 is two identifier rows of two cells.  For hard square a passed cell
+        # is lumped to its blue class, its window's bottom row (00, 01, 10), and
+        # the cell just placed to its pair class, its window without the top-left
+        # corner.  So after any cell of a row below the wildcard, a state is a
+        # staircase of symbols: the new bottom row up to the cell's right column,
+        # that column's top symbol, and the old bottom row from there on.  The
+        # cells form a path, and the states are the sets of no two adjacent 1s on
+        # it, all of them reachable: 3 cells -> 5 states, 4 -> 8, 5 -> 13.
+        # first row, cell 1: a path of 3 cells (block row 2, columns 1-2, and
+        #   block row 1, column 2): 5 states
+        # first row, cell 2: both cells lumped, block row 2 (000, 001, 010, 100,
+        #   101): 5 states holding 17 strips
+        # second row, cell 1: block row 3, columns 1-2, and block row 2, columns
+        #   2-3, joined at column 2: a path of 4 cells, 8 states
+        # second row, cell 2: block row 3 again, 5 states (63 members)
+        # peak: 8 live states of 2 cells, a charge of 16
+        assert count_by_profile(hs_graph, 3, 3, budget=16) == 63
+        with pytest.raises(BudgetExceeded, match="^row operator of width 2: 8 live states of 2 cells exceed budget 15$"):
+            count_by_profile(hs_graph, 3, 3, budget=15)
 
     def test_large_squares_default_budget(self, hs_graph):
         # OEIS A006506; 9x9 and 10x10 exceeded the old size ** width state budget
@@ -84,12 +89,28 @@ class TestProfileCounting:
         assert count_by_profile(hs_graph, 2000, 6) == sum(v.values())
 
     def test_budget_pinned_across_replayed_lines(self, hs_graph):
-        # 30x8 is 29 rows of 7 cells; from the second row on, cells 1 and 5 hold
-        # the peak of 141 live states, a charge of 987
+        # 30x8 is 29 rows of 7 cells; from the second row on, cells 1 to 6 each
+        # hold a staircase of 9 symbols (see test_budget_counts_operator_built):
+        # the new bottom row up to the cell's right column, that column's top
+        # symbol, and the old bottom row from there on.  A path of 9 cells has
+        # F(11) = 89 sets with no two adjacent 1s: the peak is 89 live states, a
+        # charge of 623 (the last cell lumps the row to its 8 bottom symbols, 55
+        # states)
         want = 40540461886644028820255571312158602181109751
-        assert count_by_profile(hs_graph, 30, 8, budget=987) == want
-        with pytest.raises(BudgetExceeded, match="^row operator of width 7: 141 live states of 7 cells exceed budget 986$"):
-            count_by_profile(hs_graph, 30, 8, budget=986)
+        assert count_by_profile(hs_graph, 30, 8, budget=623) == want
+        with pytest.raises(BudgetExceeded, match="^row operator of width 7: 89 live states of 7 cells exceed budget 622$"):
+            count_by_profile(hs_graph, 30, 8, budget=622)
+
+    def test_three_rows_of_23_fit_the_default_budget(self, hs_graph):
+        # a transfer over the 5 columns of height 3 with no two adjacent 1s,
+        # neighbouring columns sharing no 1
+        columns = [c for c in range(8) if not c & c >> 1]
+        v = dict.fromkeys(columns, 1)
+        for _ in range(22):
+            v = {c: sum(v[d] for d in columns if not c & d) for c in columns}
+        assert count_by_profile(hs_graph, 3, 23) == sum(v.values()) == 9962735709201
+        with pytest.raises(BudgetExceeded, match="^row operator of width 23: "):
+            count_by_profile(hs_graph, 3, 24)
 
     def test_three_symbol_3x6(self, three_symbol, three_symbol_graph):
         # whole-row successors took about 30 s here at a budget of 2^40
@@ -119,6 +140,21 @@ class TestPeriodicCounting:
     def test_budget(self, hs_graph):
         with pytest.raises(BudgetExceeded, match="^wrapped column operator of height 8: "):
             count_periodic(hs_graph, 8, 3, budget=100)
+
+    def test_budget_pinned_at_the_held_cell(self, hs_graph):
+        # 3x3 wrapped is two columns of three cells.  After the second cell of
+        # the first column a state holds the first cell's top row (its top class),
+        # the first two cells' right column (red class and pair class) and the
+        # second cell's bottom row: symbols (1,1), (1,2), (2,2), (3,2), (3,1), a
+        # path in that order.  By the held top row, with no two adjacent 1s:
+        # 00 leaves a free path of 3 (5 ways), 01 forces (2,2) = 0 and leaves a
+        # path of 2 (3 ways), 10 leaves a free path of 3 (5 ways): 13 states,
+        # the peak, a charge of 39
+        assert count_periodic(hs_graph, 3, 3, budget=39) == [13, 43]
+        with pytest.raises(
+            BudgetExceeded, match="^wrapped column operator of height 3: 13 live states of 3 cells exceed budget 38$"
+        ):
+            count_periodic(hs_graph, 3, 3, budget=38)
 
     def test_exact_past_float64(self, three_symbol, three_symbol_graph):
         # wrapped transfer over symbol columns of height 3: neighbouring columns

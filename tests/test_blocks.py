@@ -249,7 +249,7 @@ class TestConstraintSystem:
     @pytest.mark.parametrize(
         "refuse, layer, pattern",
         [
-            (lambda g: count_by_profile(g, 3, 3, budget=23), "row operator of width 2",
+            (lambda g: count_by_profile(g, 3, 3, budget=15), "row operator of width 2",
              r"row operator of width 2: (\d+) live states of 2 cells exceed budget (\d+)"),
             (lambda g: ConstraintSystem(Alphabet("0123"), 4, 4, ()), "allowed 4x4 windows",
              r"allowed 4x4 windows: (\d+) partial windows of 11 cells exceed budget (\d+)"),

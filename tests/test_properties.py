@@ -556,6 +556,38 @@ def test_window_kernel_matches_naive(case):
         assert cs.identifier(win) == ids.get(win)
 
 
+@st.composite
+def tall_case(draw):
+    """A kernel system and a block taller than wide, with up to three of its
+    patterns planted, so that a later column may hold an earlier row's window."""
+    q, h, w = draw(st.sampled_from(KERNEL_SHAPES))
+    patterns = [random_block(draw, q, h, w, 1, 1) for _ in range(draw(st.integers(1, 3)))]
+    cs = ConstraintSystem(Alphabet("abcde"[:q]), h, w, patterns)
+    n = draw(st.integers(1, w + 3))
+    m = draw(st.integers(max(n + 1, h), max(n + 1, h) + 8))
+    rows = [[draw(st.integers(0, q - 1)) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(st.sampled_from(patterns))
+        if p.width <= n:
+            top, left = draw(st.integers(0, m - p.height)), draw(st.integers(0, n - p.width))
+            for i, r in enumerate(p.rows):
+                rows[top + i][left : left + p.width] = r
+    return cs, Block(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=tall_case())
+def test_tall_scan_matches_naive(case):
+    """A block taller than wide is scanned by columns: its first forbidden
+    window is still the first in a cell-by-cell, row-major scan."""
+    cs, b = case
+    allowed = set(cs.allowed)
+    naive = next((corner for corner, win in naive_windows(b, cs.h, cs.w) if win not in allowed), None)
+    assert b.height > b.width
+    assert cs.first_forbidden_window(b) == naive
+    assert cs.is_member(b) == (naive is None)
+
+
 @pytest.mark.parametrize("h, w", [(2, 2), (3, 3), (4, 5), (5, 8), (9, 8)])
 def test_window_kernel_field_widths(h, w):
     """Binary windows of 4, 9, 20, 40 and 72 cells: codes in fields of 1, 2, 4
